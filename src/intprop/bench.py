@@ -23,7 +23,7 @@ from itertools import combinations
 from .model import CSP, parse
 
 
-def cubes(max_n: int = 100000) -> CSP:
+def cubes(n: int = 100000) -> CSP:
     return parse("""
         var n in [1..%d];
         var x1 in Z; var x2 in Z; var x3 in Z; var x4 in Z;
@@ -34,15 +34,15 @@ def cubes(max_n: int = 100000) -> CSP:
         constraint x4 <= n;
         constraint x1^3 + x2^3 + x3^3 + x4^3 = n;
         solve all;
-    """ % max_n)
+    """ % n)
 
 
-def opt(limit: int = 100000) -> CSP:
+def opt(n: int = 100000) -> CSP:
     return parse("""
         var x in [1..%d]; var y in [1..%d]; var z in [1..%d];
         constraint x^3 + y^2 = z^3;
         maximize 2*x*y - z;
-    """ % (limit, limit, limit))
+    """ % (n, n, n))
 
 
 _FRACTION_LETTERS = "ABCDEFGHI"
@@ -67,11 +67,11 @@ def fractions() -> CSP:
     return parse(decls + "\n" + "\n".join(lines) + "\nsolve all;")
 
 
-def kyoto(max_base: int = 100) -> CSP:
-    d = max_base - 1
+def kyoto(n: int = 100) -> CSP:
+    d = n - 1
     decls = ("var K in [1..%d]; var Y in [0..%d]; var O in [0..%d]; "
              "var T in [1..%d]; var B in [2..%d];"
-             % (d, d, d, d, max_base))
+             % (d, d, d, d, n))
     lines = [
         "constraint K <= B - 1;",
         "constraint Y <= B - 1;",
@@ -115,15 +115,6 @@ def build_benchmark(name: str, n: int = None) -> CSP:
     if name not in BENCHMARKS:
         raise KeyError("unknown benchmark %r (have: %s)"
                        % (name, ", ".join(sorted(BENCHMARKS))))
-    builder = BENCHMARKS[name]
-    if n is None:
-        return builder()
-    if name == "cubes":
-        return cubes(max_n=n)
-    if name == "opt":
-        return opt(limit=n)
-    if name == "kyoto":
-        return kyoto(max_base=n)
-    if name == "sumprod":
-        return sumprod(n)
-    return builder()
+    if n is None or name == "fractions":
+        return BENCHMARKS[name]()
+    return BENCHMARKS[name](n)

@@ -7,8 +7,11 @@ Examples::
     intprop --problem file:puzzle.csp --compare --stats csv
     intprop --problem opt --variant du --print-solutions
 
-Exit status: 0 on success, 1 when a required solution does not exist,
-2 on usage or input errors.
+Exit status: 0 on success, also when ``--max-nodes`` truncated a search
+(a warning goes to stderr); 1 when a complete search proves that the
+problem to maximize has no solution; 2 on usage or input errors: bad
+options, an unreadable or malformed problem, a variable that stays
+unbounded, or a propagation that exceeds its step limit.
 """
 
 from __future__ import annotations
@@ -20,10 +23,14 @@ from typing import List, Optional
 
 from .bench import BENCHMARKS, build_benchmark
 from .decompose import VARIANTS
+from .engine import PropagationLimit
+from .intervals import OpCounters
 from .model import CSP, ParseError, parse
-from .search import Infeasible, SearchStats, maximize, solve_all
+from .search import (Infeasible, SearchStats, UnboundedAfterPropagation,
+                     maximize, solve_all)
 
-_OPS = ("root", "exp", "div", "multI", "multF", "sum", "q_div", "q_sum")
+# the op-count columns, in the order of every output format
+_OPS = OpCounters.CATEGORIES + ("total",)
 
 
 def _report(stats: SearchStats, extra: dict) -> dict:
@@ -45,8 +52,8 @@ def _report(stats: SearchStats, extra: dict) -> dict:
     return rep
 
 
-_COLUMNS = ("variant nvar nDRF nodes applied %eff sol time(s) "
-            "root exp div multI multF sum q_div q_sum total").split()
+_COLUMNS = ("variant nvar nDRF nodes applied %eff sol time(s)".split()
+            + list(_OPS))
 
 
 def _table(reports: List[dict]) -> str:
@@ -57,10 +64,7 @@ def _table(reports: List[dict]) -> str:
             r["variant"], r["nvar"], r["n_drf"], r["nodes"],
             r["drf_applications"], "%.2f" % r["percent_effective"],
             r["solutions"], "%.2f" % r["elapsed"],
-            ops["root"], ops["exp"], ops["div"], ops["multI"],
-            ops["multF"], ops["sum"], ops["q_div"], ops["q_sum"],
-            ops["total"],
-        ])
+        ] + [ops[k] for k in _OPS])
     widths = [max(len(h), max(len(str(row[i])) for row in rows))
               for i, h in enumerate(_COLUMNS)]
     out = ["  ".join(h.rjust(w) for h, w in zip(_COLUMNS, widths))]
@@ -72,13 +76,11 @@ def _table(reports: List[dict]) -> str:
 def _csv(reports: List[dict]) -> str:
     head = ["variant", "division", "schedule", "nvar", "n_drf", "nodes",
             "drf_applications", "percent_effective", "solutions",
-            "complete", "elapsed"] + list(_OPS) + ["total"]
-    lines = [",".join(head)]
+            "complete", "elapsed"]
+    lines = [",".join(head + list(_OPS))]
     for r in reports:
-        row = [str(r[k]) for k in head[:11]]
-        row += [str(r["ops"][k]) for k in _OPS]
-        row.append(str(r["ops"]["total"]))
-        lines.append(",".join(row))
+        row = [r[k] for k in head] + [r["ops"][k] for k in _OPS]
+        lines.append(",".join(map(str, row)))
     return "\n".join(lines)
 
 
@@ -89,7 +91,9 @@ def _load_problem(spec: str, n: Optional[int]) -> CSP:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as e:
-            raise SystemExit("intprop: cannot read %s: %s" % (path, e.strerror))
+            print("intprop: cannot read %s: %s" % (path, e.strerror),
+                  file=sys.stderr)
+            raise SystemExit(2)
         return parse(text)
     return build_benchmark(spec, n)
 
@@ -132,30 +136,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     variants = list(VARIANTS) if args.compare else [args.variant]
 
     reports = []
-    status = 0
     for variant in variants:
-        if goal == "maximize":
-            try:
-                best, value, stats = maximize(
-                    csp, variant=variant, division=args.division, mode=mode,
-                    max_nodes=args.max_nodes)
-            except Infeasible:
-                print("infeasible: no solution exists", file=sys.stderr)
-                return 1
-            extra = {"objective": value, "incumbents": stats.incumbents}
-            if args.print_solutions:
-                print(_format_solution(csp, best) + "   objective=%d" % value)
-        else:
-            want_print = args.print_solutions
-
-            def emit(sol):
-                if want_print:
-                    print(_format_solution(csp, sol))
-
-            sols, stats = solve_all(
-                csp, variant=variant, division=args.division, mode=mode,
-                max_nodes=args.max_nodes, collect=False, on_solution=emit)
-            extra = {}
+        try:
+            stats, extra = _run(csp, goal, variant, mode, args)
+        except Infeasible:
+            print("infeasible: no solution exists", file=sys.stderr)
+            return 1
+        except (UnboundedAfterPropagation, PropagationLimit) as e:
+            print("intprop: %s" % e, file=sys.stderr)
+            return 2
         if not stats.complete:
             print("warning: search truncated at %d nodes (incomplete)"
                   % stats.nodes, file=sys.stderr)
@@ -168,7 +157,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_csv(reports))
     else:
         print(_table(reports))
-    return status
+    return 0
+
+
+def _run(csp: CSP, goal: str, variant: str, mode: str, args):
+    """Solve with one variant; returns the stats and the extra report keys."""
+    if goal == "maximize":
+        best, value, stats = maximize(
+            csp, variant=variant, division=args.division, mode=mode,
+            max_nodes=args.max_nodes)
+        if args.print_solutions and best is not None:
+            print(_format_solution(csp, best) + "   objective=%d" % value)
+        return stats, {"objective": value, "incumbents": stats.incumbents}
+
+    def emit(sol):
+        if args.print_solutions:
+            print(_format_solution(csp, sol))
+
+    _, stats = solve_all(
+        csp, variant=variant, division=args.division, mode=mode,
+        max_nodes=args.max_nodes, collect=False, on_solution=emit)
+    return stats, {}
 
 
 def _format_solution(csp: CSP, sol) -> str:

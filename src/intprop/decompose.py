@@ -28,15 +28,14 @@ rules propagating a written auxiliary back down its definition tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from . import intervals as iv
 from .intervals import Interval
 from .model import (
     CSP,
     Constraint,
-    MonomialT,
     MultAtom,
     PolynomialConstraint,
     PowerAtom,
@@ -66,14 +65,12 @@ class AuxDef:
 
 @dataclass
 class DecomposedCSP:
-    base: CSP
     variant: str
     division: str
     names: List[str]
     domains: List[Interval]
     n_user: int
-    constraints: List[Constraint]          # definitions first, then users
-    n_def_constraints: int
+    constraints: List[Constraint]   # aux definitions first, then users
     aux_defs: List[AuxDef]
     rules: List[Rule]
     user_rule_indices: List[int]
@@ -82,29 +79,12 @@ class DecomposedCSP:
     branch_order: List[int]
     infeasible: bool = False
 
-    @property
-    def n_rules(self) -> int:
-        return len(self.rules)
-
-    def def_constraints(self):
-        return self.constraints[:self.n_def_constraints]
-
     def user_constraints(self):
-        return self.constraints[self.n_def_constraints:]
+        return self.constraints[len(self.aux_defs):]
 
 
 def _nonlinear(pp: PowerProduct) -> bool:
     return len(pp) > 1 or (len(pp) == 1 and pp[0][1] > 1)
-
-
-def _is_simple(monomials: Sequence[MonomialT]) -> bool:
-    seen = set()
-    for _, pp in monomials:
-        for v, _ in pp:
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
 
 
 class _AuxSpace:
@@ -123,6 +103,13 @@ class _AuxSpace:
         self.domains.append((None, None))
         return len(self.names) - 1
 
+    def rewrite(self, c: PolynomialConstraint) -> PolynomialConstraint:
+        """Replace every nonlinear power product by its auxiliary."""
+        mons = tuple(
+            (coeff, ((self.aux_for(pp), 1),)) if _nonlinear(pp) else (coeff, pp)
+            for coeff, pp in c.monomials)
+        return PolynomialConstraint(mons, c.op, c.rhs, origin=c.origin)
+
 
 class _PartialRewriter(_AuxSpace):
     def __init__(self, names, domains):
@@ -137,12 +124,6 @@ class _PartialRewriter(_AuxSpace):
         self.by_pp[pp] = u
         self.defs.append(AuxDef(u, "pp", pp=pp))
         return u
-
-    def rewrite_all(self, c: PolynomialConstraint) -> PolynomialConstraint:
-        mons = tuple(
-            (coeff, ((self.aux_for(pp), 1),)) if _nonlinear(pp) else (coeff, pp)
-            for coeff, pp in c.monomials)
-        return PolynomialConstraint(mons, c.op, c.rhs, origin=c.origin)
 
     def rewrite_duplicated(self, c: PolynomialConstraint) -> PolynomialConstraint:
         # replace only the power products involved in a repeated variable
@@ -266,12 +247,6 @@ class _FullRewriter(_AuxSpace):
             raise AssertionError("no way to grow towards %r" % (target,))
         kind, args = cands[best]
         self._register(best, kind, args)
-
-    def rewrite(self, c: PolynomialConstraint) -> PolynomialConstraint:
-        mons = tuple(
-            (coeff, ((self.aux_for(pp), 1),)) if _nonlinear(pp) else (coeff, pp)
-            for coeff, pp in c.monomials)
-        return PolynomialConstraint(mons, c.op, c.rhs, origin=c.origin)
 
 
 def _prune_unused(defs: List[AuxDef], users: List[Constraint],
@@ -404,7 +379,7 @@ def decompose(csp: CSP, variant: str, division: str = "weak",
     else:
         if variant in ("pu", "po"):
             rw = _PartialRewriter(names, domains)
-            step = rw.rewrite_all if variant == "pu" else rw.rewrite_duplicated
+            step = rw.rewrite if variant == "pu" else rw.rewrite_duplicated
         else:
             rw = _FullRewriter(names, domains, n_user, variant)
             step = rw.rewrite
@@ -447,10 +422,9 @@ def decompose(csp: CSP, variant: str, division: str = "weak",
     branch_order += [d.var for d in defs]
 
     return DecomposedCSP(
-        base=csp, variant=variant, division=division, names=names,
+        variant=variant, division=division, names=names,
         domains=domains, n_user=n_user,
         constraints=def_constraints + users,
-        n_def_constraints=len(def_constraints),
         aux_defs=defs, rules=rules, user_rule_indices=user_rule_indices,
         readers=readers, schedule=schedule, branch_order=branch_order,
         infeasible=infeasible)

@@ -38,18 +38,15 @@ class Solver:
     """
 
     def __init__(self, decomposed, mode: str = "scheduled",
-                 counters: Optional[OpCounters] = None,
                  step_limit: int = DEFAULT_STEP_LIMIT):
         if mode not in ("scheduled", "cycle"):
             raise ValueError("mode must be 'scheduled' or 'cycle'")
-        self.decomposed = decomposed
         self.rules = decomposed.rules
         self.readers = decomposed.readers
         self.store = list(decomposed.domains)
         self.order = (decomposed.schedule if mode == "scheduled"
                       else range(len(self.rules)))
-        self.mode = mode
-        self.counters = counters if counters is not None else OpCounters()
+        self.counters = OpCounters()
         self.step_limit = step_limit
         self.applications = 0
         self.effective = 0

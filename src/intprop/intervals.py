@@ -39,18 +39,11 @@ class OpCounters:
     __slots__ = CATEGORIES
 
     def __init__(self) -> None:
-        self.root = 0
-        self.exp = 0
-        self.div = 0
-        self.multI = 0
-        self.multF = 0
-        self.sum = 0
-        self.q_div = 0
-        self.q_sum = 0
+        for name in self.CATEGORIES:
+            setattr(self, name, 0)
 
     def total(self) -> int:
-        return (self.root + self.exp + self.div + self.multI + self.multF
-                + self.sum + self.q_div + self.q_sum)
+        return sum(getattr(self, name) for name in self.CATEGORIES)
 
     def as_dict(self) -> dict:
         d = {name: getattr(self, name) for name in self.CATEGORIES}
@@ -67,18 +60,6 @@ def mk(lo: Bound, hi: Bound) -> Interval:
     if lo is not None and hi is not None and lo > hi:
         return None
     return (lo, hi)
-
-
-def singleton(v: int) -> Interval:
-    return (v, v)
-
-
-def is_singleton(a: Interval) -> bool:
-    return a is not None and a[0] is not None and a[0] == a[1]
-
-
-def is_bounded(a: Interval) -> bool:
-    return a is not None and a[0] is not None and a[1] is not None
 
 
 def contains(a: Interval, x: int) -> bool:
@@ -117,19 +98,6 @@ def iter_values(a: Interval) -> Iterable[int]:
     if lo is None or hi is None:
         raise ValueError("cannot enumerate an unbounded interval")
     yield from range(lo, hi + 1)
-
-
-def fmt(a: Interval) -> str:
-    if a is None:
-        return "empty"
-    lo, hi = a
-    if lo is None and hi is None:
-        return "Z"
-    if lo is None:
-        return "(..%d]" % hi
-    if hi is None:
-        return "[%d..)" % lo
-    return "[%d..%d]" % (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +226,14 @@ def mult(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval
         r = a1 * b0
         s = a1 * b1
         return (min(p, q, r, s), max(p, q, r, s))
+    return mult_bounds(a0, a1, b0, b1)
+
+
+def mult_bounds(a0, a1, b0, b1):
+    """Uncounted closure of [a0..a1] * [b0..b1], ``None`` bounds infinite.
+
+    Exact for ``int`` and ``fractions.Fraction`` bounds alike.
+    """
     xa0 = -_INF if a0 is None else a0
     xa1 = _INF if a1 is None else a1
     xb0 = -_INF if b0 is None else b0
@@ -518,20 +494,14 @@ def div_scalar(a: Interval, k: int, ctr: Optional[OpCounters] = None) -> Interva
     """
     if a is None:
         return None
-    if k == 1:
+    if k == 1 or k == -1:
         if ctr is not None:
             ctr.multF += 1
-        return a
-    if k == -1:
-        if ctr is not None:
-            ctr.multF += 1
-        return negate(a)
-    if k == 0:
-        if ctr is not None:
-            ctr.div += 1
-        return ALL if contains_zero(a) else None
+        return a if k == 1 else negate(a)
     if ctr is not None:
         ctr.div += 1
+    if k == 0:
+        return ALL if contains_zero(a) else None
     a0, a1 = a
     if k > 0:
         lo = None if a0 is None else -((-a0) // k)

@@ -117,21 +117,6 @@ class Root(Expr):
         self.n = n
 
 
-def expr_vars(e: Expr, out=None) -> set:
-    if out is None:
-        out = set()
-    if isinstance(e, Var):
-        out.add(e.id)
-    elif isinstance(e, Neg):
-        expr_vars(e.arg, out)
-    elif isinstance(e, (Pow, Root)):
-        expr_vars(e.arg, out)
-    elif isinstance(e, _Bin):
-        expr_vars(e.left, out)
-        expr_vars(e.right, out)
-    return out
-
-
 def eval_expr(e: Expr, values) -> int:
     """Exact integer evaluation (no Div/Root)."""
     if isinstance(e, Var):
@@ -154,7 +139,6 @@ def eval_expr(e: Expr, values) -> int:
 # ---------------------------------------------------------------------------
 # constraints
 
-OPS = ("eq", "le", "ne")
 _COMPARE = {
     "=": lambda a, b: a == b,
     "<": lambda a, b: a < b,
@@ -238,19 +222,11 @@ def _poly_of(e: Expr) -> Dict[PowerProduct, int]:
         return {(): e.value} if e.value else {}
     if isinstance(e, Neg):
         return {pp: -c for pp, c in _poly_of(e.arg).items()}
-    if isinstance(e, Add):
+    if isinstance(e, (Add, Sub)):
+        sign = 1 if isinstance(e, Add) else -1
         out = dict(_poly_of(e.left))
         for pp, c in _poly_of(e.right).items():
-            nc = out.get(pp, 0) + c
-            if nc:
-                out[pp] = nc
-            else:
-                out.pop(pp, None)
-        return out
-    if isinstance(e, Sub):
-        out = dict(_poly_of(e.left))
-        for pp, c in _poly_of(e.right).items():
-            nc = out.get(pp, 0) - c
+            nc = out.get(pp, 0) + sign * c
             if nc:
                 out[pp] = nc
             else:

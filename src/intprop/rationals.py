@@ -16,57 +16,20 @@ import math
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .intervals import Interval, OpCounters, mk
+from .intervals import (Interval, OpCounters, add, contains_zero, mk,
+                        mult_bounds)
 
 QBound = Optional[Union[int, Fraction]]
 QInterval = Optional[Tuple[QBound, QBound]]
 
 Q_ALL: QInterval = (None, None)
 
-_INF = math.inf
-
-
-def q_from_interval(iv: Interval) -> QInterval:
-    """View an integer interval as a rational one (bounds shared)."""
-    return iv
-
-
-def _contains_zero(a) -> bool:
-    a0, a1 = a
-    return (a0 is None or a0 <= 0) and (a1 is None or a1 >= 0)
-
 
 def q_add(a: QInterval, b: QInterval, ctr: Optional[OpCounters] = None) -> QInterval:
+    """:func:`intervals.add` over rational bounds, counted as ``q_sum``."""
     if ctr is not None:
         ctr.q_sum += 1
-    if a is None or b is None:
-        return None
-    a0, a1 = a
-    b0, b1 = b
-    return (None if a0 is None or b0 is None else a0 + b0,
-            None if a1 is None or b1 is None else a1 + b1)
-
-
-def _xm(x, y):
-    # endpoint product over exact bounds with +-inf floats standing in
-    if x == 0 or y == 0:
-        return 0
-    if isinstance(x, float) or isinstance(y, float):
-        return _INF if (x > 0) == (y > 0) else -_INF
-    return x * y
-
-
-def _q_mult(a, r) -> QInterval:
-    a0, a1 = a
-    r0, r1 = r
-    xa0 = -_INF if a0 is None else a0
-    xa1 = _INF if a1 is None else a1
-    xr0 = -_INF if r0 is None else r0
-    xr1 = _INF if r1 is None else r1
-    cands = (_xm(xa0, xr0), _xm(xa0, xr1), _xm(xa1, xr0), _xm(xa1, xr1))
-    lo = min(cands)
-    hi = max(cands)
-    return (None if lo == -_INF else lo, None if hi == _INF else hi)
+    return add(a, b)
 
 
 def q_div(a: QInterval, b: QInterval, ctr: Optional[OpCounters] = None) -> QInterval:
@@ -77,16 +40,15 @@ def q_div(a: QInterval, b: QInterval, ctr: Optional[OpCounters] = None) -> QInte
         return None
     a0, a1 = a
     b0, b1 = b
-    den_zero = _contains_zero(b)
-    if not den_zero:
+    if not contains_zero(b):
         if b0 is not None and b0 > 0:
             recip = (0 if b1 is None else Fraction(1, 1) / b1,
                      Fraction(1, 1) / b0)
         else:
             recip = (Fraction(1, 1) / b1,
                      0 if b0 is None else Fraction(1, 1) / b0)
-        return _q_mult(a, recip)
-    if _contains_zero(a):
+        return mult_bounds(a0, a1, *recip)
+    if contains_zero(a):
         return Q_ALL
     if b0 == 0 and b1 == 0:
         return None

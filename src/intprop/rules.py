@@ -35,7 +35,6 @@ from .model import (
     Div,
     Expr,
     Lit,
-    MonomialT,
     Mul,
     MultAtom,
     Neg,
@@ -220,12 +219,7 @@ class LinearIneqRule(Rule):
 
     variant = "LinearIneq"
 
-    def __init__(self, coeffs: Sequence[Tuple[int, int]], b: int, j: int):
-        self.others = tuple(av for i, av in enumerate(coeffs) if i != j)
-        self.aj, self.vj = coeffs[j]
-        self.b = b
-        self.writes = self.vj
-        self.reads = tuple(v for _, v in self.others)
+    __init__ = LinearEqRule.__init__
 
     def apply(self, store, ctr):
         others = self.others
@@ -320,7 +314,10 @@ class PolyRule(Rule):
         self.vj = vj
         self.b = constraint.rhs
         self.op = constraint.op
-        self.divfn = iv.div_weak if division == "weak" else iv.div
+        if self.op == "le":
+            self.divfn = iv.div_halfline
+        else:
+            self.divfn = iv.div_weak if division == "weak" else iv.div
         self.writes = vj
         reads = set(v for _, rpp in self.residual for v, _ in rpp)
         reads.update(v for v, _ in self.s_pp)
@@ -348,17 +345,11 @@ class PolyRule(Rule):
             acc = iv.sub(acc, eval_monomial(c, pp, store, ctr), ctr)
         if self.op == "le":
             acc = (None, acc[1])
-            if self.s_pp:
-                siv = eval_monomial(self.s_coeff, self.s_pp, store, ctr)
-                q = iv.div_halfline(acc, siv, ctr)
-            else:
-                q = iv.div_scalar(acc, self.s_coeff, ctr)
+        if self.s_pp:
+            siv = eval_monomial(self.s_coeff, self.s_pp, store, ctr)
+            q = self.divfn(acc, siv, ctr)
         else:
-            if self.s_pp:
-                siv = eval_monomial(self.s_coeff, self.s_pp, store, ctr)
-                q = self.divfn(acc, siv, ctr)
-            else:
-                q = iv.div_scalar(acc, self.s_coeff, ctr)
+            q = iv.div_scalar(acc, self.s_coeff, ctr)
         return self._root_and_intersect(store, q, ctr)
 
     def _apply_fractions(self, store, ctr):
@@ -398,14 +389,6 @@ class PolyRule(Rule):
                 if p is not None:
                     nd = iv.span(nd, p)
         return self._finish(store, dv, nd, vj)
-
-
-class PolyEqRule(PolyRule):
-    variant = "PolyEq"
-
-
-class PolyIneqRule(PolyRule):
-    variant = "PolyIneq"
 
 
 class MultRule(Rule):
@@ -634,10 +617,9 @@ def build_rules(constraints, division: str = "weak",
             for j in range(len(coeffs)):
                 rules.append(cls(coeffs, c.rhs, j))
             continue
-        cls = PolyEqRule if c.op == "eq" else PolyIneqRule
         for l, (_, pp) in enumerate(c.monomials):
             for v, _ in pp:
-                rules.append(cls(c, l, v, division, optimized))
+                rules.append(PolyRule(c, l, v, division, optimized))
     return rules
 
 

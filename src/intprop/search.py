@@ -6,10 +6,19 @@ the lower half explored first.  Propagation runs once at the root and after
 every split.  Every search-tree node is counted, including failed and
 solution leaves.
 
-Maximization adds a variable equated with the objective; each time a
-solution is found, the remaining search only admits strictly larger
-objective values, so the incumbent sequence is strictly increasing and the
-last solution is optimal.
+One routine runs every search: it builds the statistics and the
+:class:`Solver`, propagates at the root, rejects variables left unbounded,
+searches, and checks every solution exactly against the constraints as
+written before accepting it.  :func:`solve_all` collects what it accepts;
+:func:`maximize` adds a variable equated with the objective, and each
+accepted solution becomes the incumbent: the remaining search only admits
+strictly larger objective values, so the incumbent sequence is strictly
+increasing and the last solution is optimal.
+
+``max_nodes`` truncates a search: it stops before the node that would
+exceed the budget, ``stats.complete`` is false, and both entry points
+return what was found so far (for :func:`maximize`, the last incumbent, or
+none).  Only a complete search can prove that there is no solution.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ class UnboundedAfterPropagation(Exception):
 
 
 class Infeasible(Exception):
-    """Maximization found no solution at all."""
+    """A complete maximization search found no solution at all."""
 
 
 @dataclass
@@ -71,14 +80,33 @@ def verify_solution(csp: CSP, assignment) -> bool:
     return all(check_origin(c, assignment) for c in csp.constraints)
 
 
-def _search(dec: DecomposedCSP, stats: SearchStats, solver: Solver,
-            max_nodes: Optional[int],
-            on_solution: Callable[[List[int]], None],
-            cutoff_var: Optional[int] = None,
-            cutoff: Optional[Callable[[], Optional[int]]] = None) -> None:
+def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
+                max_nodes: Optional[int], found: Callable[[List[int]], None],
+                objective: Optional[int] = None) -> SearchStats:
+    """Run one search (see the module docstring); ``found`` receives
+    each accepted solution as the values of ``dec``'s user variables, and
+    ``objective`` names the variable to maximize, if any."""
+    stats = SearchStats(variant=dec.variant, division=dec.division,
+                        mode=mode, nvar=len(dec.names),
+                        n_rules=len(dec.rules))
+    t0 = time.perf_counter()
+    solver = Solver(dec, mode=mode)
+    stats.counters = solver.counters
     store = solver.store
     order = dec.branch_order
     n_user = dec.n_user
+    incumbents = stats.incumbents
+
+    def accept(values: List[int]) -> None:
+        # explicit checks, not asserts: they must hold under python -O
+        if not verify_solution(csp, values):
+            raise AssertionError("propagation produced a spurious solution")
+        if objective is not None:
+            if incumbents and values[objective] <= incumbents[-1]:
+                raise AssertionError("incumbents must increase")
+            incumbents.append(values[objective])
+        stats.solutions += 1
+        found(values)
 
     def bump_nodes():
         stats.nodes += 1
@@ -96,7 +124,7 @@ def _search(dec: DecomposedCSP, stats: SearchStats, solver: Solver,
                 break
             k += 1
         else:
-            on_solution([store[v][0] for v in range(n_user)])
+            accept([store[v][0] for v in range(n_user)])
             return
         v = order[k]
         lo, hi = store[v]
@@ -106,17 +134,16 @@ def _search(dec: DecomposedCSP, stats: SearchStats, solver: Solver,
             store[v] = half
             bump_nodes()
             seeds = [v]
-            if cutoff is not None:
-                bound = cutoff()
-                if bound is not None:
-                    dc = store[cutoff_var]
-                    if dc is not None and (dc[0] is None or dc[0] < bound):
-                        nd = None if dc[1] is not None and dc[1] < bound \
-                            else (bound, dc[1])
-                        store[cutoff_var] = nd
-                        seeds.append(cutoff_var)
-            failed = (store[cutoff_var] is None if cutoff is not None
-                      else False)
+            failed = False
+            if incumbents:
+                bound = incumbents[-1] + 1
+                dc = store[objective]
+                if dc is not None and (dc[0] is None or dc[0] < bound):
+                    nd = None if dc[1] is not None and dc[1] < bound \
+                        else (bound, dc[1])
+                    store[objective] = nd
+                    seeds.append(objective)
+                    failed = nd is None
             if not failed:
                 failed = solver.propagate(seeds) != FIXPOINT
             if not failed:
@@ -124,8 +151,22 @@ def _search(dec: DecomposedCSP, stats: SearchStats, solver: Solver,
             solver.reset_pending()
             store[:] = saved
 
-    bump_nodes()
-    expand(0)
+    solver.flag_all()
+    try:
+        if not dec.infeasible and solver.propagate() == FIXPOINT:
+            for v in range(n_user):
+                d = store[v]
+                if v != objective and (d[0] is None or d[1] is None):
+                    raise UnboundedAfterPropagation(dec.names[v])
+            bump_nodes()
+            expand(0)
+    except _Truncated:
+        stats.complete = False
+    finally:
+        stats.drf_applications = solver.applications
+        stats.drf_effective = solver.effective
+        stats.elapsed = time.perf_counter() - t0
+    return stats
 
 
 def solve_all(csp: CSP, variant: str = "fe", division: str = "weak",
@@ -142,54 +183,31 @@ def solve_all(csp: CSP, variant: str = "fe", division: str = "weak",
     """
     if dec is None:
         dec = decompose(csp, variant, division)
-    stats = SearchStats(variant=variant, division=division, mode=mode,
-                        nvar=len(dec.names), n_rules=len(dec.rules))
     solutions: List[Assignment] = []
-    t0 = time.perf_counter()
-    solver = Solver(dec, mode=mode)
-    stats.counters = solver.counters
-    if dec.infeasible:
-        stats.elapsed = time.perf_counter() - t0
-        return solutions, stats
 
     def found(values: List[int]) -> None:
-        assert verify_solution(csp, values), \
-            "propagation produced a spurious solution"
-        stats.solutions += 1
+        sol = tuple(values)
         if collect:
-            solutions.append(tuple(values))
+            solutions.append(sol)
         if on_solution is not None:
-            on_solution(tuple(values))
+            on_solution(sol)
 
-    solver.flag_all()
-    root = solver.propagate()
-    try:
-        if root == FIXPOINT:
-            for v in range(dec.n_user):
-                d = solver.store[v]
-                if d[0] is None or d[1] is None:
-                    raise UnboundedAfterPropagation(dec.names[v])
-            _search(dec, stats, solver, max_nodes, found)
-    except _Truncated:
-        stats.complete = False
-    finally:
-        stats.drf_applications = solver.applications
-        stats.drf_effective = solver.effective
-        stats.elapsed = time.perf_counter() - t0
+    stats = _run_search(csp, dec, mode, max_nodes, found)
     return solutions, stats
 
 
 def maximize(csp: CSP, objective: Optional[Expr] = None,
              variant: str = "fe", division: str = "weak",
              mode: str = "scheduled", max_nodes: Optional[int] = None,
-             ) -> Tuple[Assignment, int, SearchStats]:
+             ) -> Tuple[Optional[Assignment], Optional[int], SearchStats]:
     """Find the assignment maximizing the objective, by branch and bound.
 
     A fresh variable is constrained equal to the objective; after every
     solution the search additionally requires the objective to exceed the
     incumbent, so solutions stream in strictly increasing objective order.
-    Returns (best assignment, best value, stats); raises
-    :class:`Infeasible` when there is no solution.
+    Returns (best assignment, best value, stats), which after truncation
+    are the last incumbent or ``(None, None)``; raises :class:`Infeasible`
+    when a complete search finds no solution.
     """
     if objective is None:
         objective = csp.objective
@@ -201,46 +219,15 @@ def maximize(csp: CSP, objective: Optional[Expr] = None,
     work.constraints.append(
         normalize(Var(obj_var), "=", objective, work.nvars))
     dec = decompose(work, variant, division, branch_exclude=(obj_var,))
-    stats = SearchStats(variant=variant, division=division, mode=mode,
-                        nvar=len(dec.names), n_rules=len(dec.rules))
-    t0 = time.perf_counter()
-    solver = Solver(dec, mode=mode)
-    stats.counters = solver.counters
-    best: Optional[Tuple[Assignment, int]] = None
+    best: Optional[Assignment] = None
 
     def found(values: List[int]) -> None:
         nonlocal best
-        val = values[obj_var]
-        assert verify_solution(csp, values[:len(csp.names)]), \
-            "propagation produced a spurious solution"
-        assert best is None or val > best[1], "incumbents must increase"
-        best = (tuple(values[:len(csp.names)]), val)
-        stats.solutions += 1
-        stats.incumbents.append(val)
+        best = tuple(values[:obj_var])
 
-    def current_bound() -> Optional[int]:
-        return None if best is None else best[1] + 1
-
-    if dec.infeasible:
-        raise Infeasible("the problem contains a false constraint")
-    solver.flag_all()
-    root = solver.propagate()
-    try:
-        if root == FIXPOINT:
-            for v in range(dec.n_user):
-                if v == obj_var:
-                    continue
-                d = solver.store[v]
-                if d[0] is None or d[1] is None:
-                    raise UnboundedAfterPropagation(dec.names[v])
-            _search(dec, stats, solver, max_nodes, found,
-                    cutoff_var=obj_var, cutoff=current_bound)
-    except _Truncated:
-        stats.complete = False
-    finally:
-        stats.drf_applications = solver.applications
-        stats.drf_effective = solver.effective
-        stats.elapsed = time.perf_counter() - t0
+    stats = _run_search(csp, dec, mode, max_nodes, found, objective=obj_var)
     if best is None:
-        raise Infeasible("no solution satisfies the constraints")
-    return best[0], best[1], stats
+        if stats.complete:
+            raise Infeasible("no solution satisfies the constraints")
+        return None, None, stats
+    return best, stats.incumbents[-1], stats

@@ -103,8 +103,9 @@ class TestCli:
         assert lines[-1].startswith("fe,weak,generated")
 
     def test_missing_file(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["--problem", "file:/nonexistent/x.csp"])
+        assert exc.value.code == 2
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.csp"
@@ -119,6 +120,22 @@ class TestCli:
         code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
         assert code == 1
         assert "infeasible" in err
+
+    def test_truncated_maximize_is_not_infeasible(self, capsys):
+        code, out, err = run_cli(capsys, "--problem", "opt", "--n", "200",
+                                 "--variant", "fm", "--max-nodes", "5",
+                                 "--stats", "json")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["complete"] is False and rep["objective"] is None
+        assert "truncated" in err and "infeasible" not in err
+
+    def test_unbounded_variable_is_an_input_error(self, tmp_path, capsys):
+        p = tmp_path / "unbounded.csp"
+        p.write_text("var x in Z; solve all;")
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
+        assert code == 2
+        assert err.startswith("intprop: domain of x is still unbounded")
 
     def test_max_nodes_marks_incomplete(self, capsys):
         code, out, err = run_cli(capsys, "--problem", "cubes", "--n", "500",

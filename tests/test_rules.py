@@ -23,8 +23,7 @@ from intprop.rules import (
     MultRule,
     ExpoRule,
     RootXRule,
-    PolyEqRule,
-    PolyIneqRule,
+    PolyRule,
     build_rules,
     eval_int,
     is_bounds_consistent,
@@ -131,7 +130,7 @@ class TestPolyRules:
     def test_even_root_lifts_lower_bound(self):
         csp, c = constraint_of("constraint x^2 - y = 0;",
                                [("x", (0, 10)), ("y", (25, 100))])
-        rule = PolyEqRule(c, 0, 0)
+        rule = PolyRule(c, 0, 0)
         store = list(csp.domains)
         assert rule.apply(store, None) == 0
         assert store[0] == (5, 10)
@@ -141,12 +140,12 @@ class TestPolyRules:
                                [("x", (1, 9)), ("y", (1, 9)), ("z", (1, 9))])
         store = list(csp.domains)
         for l, v in ((0, 0), (0, 1), (1, 1), (1, 2)):
-            assert PolyEqRule(c, l, v).apply(store, None) == UNCHANGED
+            assert PolyRule(c, l, v).apply(store, None) == UNCHANGED
 
     def test_exact_division_on_singleton(self):
         csp, c = constraint_of("constraint x*y = 6;",
                                [("x", (2, 2)), ("y", (1, 10))])
-        rule = PolyEqRule(c, 0, 1)
+        rule = PolyRule(c, 0, 1)
         store = list(csp.domains)
         assert rule.apply(store, None) == 1
         assert store[1] == (3, 3)
@@ -154,13 +153,13 @@ class TestPolyRules:
     def test_running_inequality_bounds(self):
         csp, c = constraint_of("constraint x^3*y - x <= 40;",
                                [("x", (1, 100)), ("y", (1, 100))])
-        rx = PolyIneqRule(c, 0, 0)
+        rx = PolyRule(c, 0, 0)
         store = list(csp.domains)
         assert rx.apply(store, None) == 0
         assert store[0] == (1, 5)
         assert rx.apply(store, None) == 0
         assert store[0] == (1, 3)
-        ry = PolyIneqRule(c, 0, 1)
+        ry = PolyRule(c, 0, 1)
         assert ry.apply(store, None) == 1
         assert store[1] == (1, 43)
 
@@ -168,8 +167,8 @@ class TestPolyRules:
         csp, c = constraint_of("constraint x^3*y - x <= 40;",
                                [("x", (1, 100)), ("y", (1, 100))])
         store = list(csp.domains)
-        PolyIneqRule(c, 0, 0).apply(store, None)   # x <= 5
-        ry = PolyIneqRule(c, 0, 1, optimized=True)
+        PolyRule(c, 0, 0).apply(store, None)   # x <= 5
+        ry = PolyRule(c, 0, 1, optimized=True)
         assert ry.optimized
         assert ry.apply(store, None) == 1
         assert store[1] == (1, 41)
@@ -178,8 +177,8 @@ class TestPolyRules:
         csp, c = constraint_of("constraint x^3*y - x <= 40;",
                                [("x", (-2, 100)), ("y", (1, 100))])
         store = list(csp.domains)
-        ry = PolyIneqRule(c, 0, 1, optimized=True)
-        plain = PolyIneqRule(c, 0, 1)
+        ry = PolyRule(c, 0, 1, optimized=True)
+        plain = PolyRule(c, 0, 1)
         store2 = list(csp.domains)
         assert ry.apply(store, None) == plain.apply(store2, None)
         assert store == store2
@@ -187,7 +186,7 @@ class TestPolyRules:
     def test_optimized_equality_reduces_two_product_example(self):
         csp, c = constraint_of("constraint 100*x*y - 10*y*z = 212;",
                                [("x", (1, 9)), ("y", (1, 9)), ("z", (1, 9))])
-        rule = PolyEqRule(c, 0, 0, optimized=True)
+        rule = PolyRule(c, 0, 0, optimized=True)
         store = list(csp.domains)
         assert rule.apply(store, None) == 0
         assert store[0] == (1, 3)
@@ -196,7 +195,7 @@ class TestPolyRules:
         # product constraint of distinct variables: simplification is a no-op
         csp, c = constraint_of("constraint x*y - z = 0;",
                                [("x", (1, 9)), ("y", (1, 9)), ("z", (1, 81))])
-        rule = PolyEqRule(c, 0, 0, optimized=True)
+        rule = PolyRule(c, 0, 0, optimized=True)
         assert not rule.optimized
 
 

@@ -1,10 +1,15 @@
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from intprop.bench import build_benchmark, sumprod
+import intprop
+from intprop.bench import build_benchmark, opt, sumprod
 from intprop.decompose import VARIANTS, decompose
 from intprop.model import CSP, Lit, Mul, Var, check_assignment, normalize, parse
 from intprop.search import (
@@ -171,6 +176,36 @@ class TestMaximize:
         """)
         with pytest.raises(Infeasible):
             maximize(csp, variant="du")
+
+    def test_truncation_is_not_infeasibility(self):
+        # opt(200) has optimum 37543; five nodes reach no incumbent
+        best, val, stats = maximize(opt(200), variant="fm", max_nodes=5)
+        assert (best, val) == (None, None)
+        assert not stats.complete and stats.nodes == 5
+
+    def test_truncation_keeps_the_last_incumbent(self):
+        best, val, stats = maximize(opt(200), variant="fe", max_nodes=40)
+        assert not stats.complete
+        assert val == stats.incumbents[-1] < 37543
+        x, y, z = best
+        assert x ** 3 + y ** 2 == z ** 3 and 2 * x * y - z == val
+
+
+class TestChecksUnderOptimize:
+    def test_spurious_solution_raises_under_python_O(self):
+        # the solution check must not be an assert, which -O strips
+        src = pathlib.Path(intprop.__file__).resolve().parent.parent
+        code = (
+            "import intprop.search as s\n"
+            "from intprop.model import parse\n"
+            "assert False, 'asserts are on'\n"   # fails unless -O is in effect
+            "s.verify_solution = lambda csp, values: False\n"
+            "s.solve_all(parse('var x in [1..2];'), 'du')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "spurious solution" in proc.stderr
 
 
 class TestVerify:
