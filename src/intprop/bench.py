@@ -111,10 +111,12 @@ BENCHMARKS = {
 
 
 def build_benchmark(name: str, n: int = None) -> CSP:
-    """Instantiate a named benchmark; ``n`` scales the sized ones."""
+    """Instantiate a named benchmark; ``n`` scales all but ``fractions``."""
     if name not in BENCHMARKS:
         raise KeyError("unknown benchmark %r (have: %s)"
                        % (name, ", ".join(sorted(BENCHMARKS))))
-    if n is None or name == "fractions":
+    if n is None:
         return BENCHMARKS[name]()
+    if name == "fractions":
+        raise ValueError("fractions takes no size")
     return BENCHMARKS[name](n)

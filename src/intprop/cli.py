@@ -52,35 +52,37 @@ def _report(stats: SearchStats, extra: dict) -> dict:
     return rep
 
 
-_COLUMNS = ("variant nvar nDRF nodes applied %eff sol time(s)".split()
-            + list(_OPS))
+# every column of the table and CSV outputs, in order: (table header, or
+# None for a CSV-only column; report key), then the op counts
+_COLUMNS = (
+    ("variant", "variant"), (None, "division"), (None, "schedule"),
+    ("nvar", "nvar"), ("nDRF", "n_drf"), ("nodes", "nodes"),
+    ("applied", "drf_applications"), ("%eff", "percent_effective"),
+    ("sol", "solutions"), (None, "complete"), ("time(s)", "elapsed"),
+) + tuple((k, k) for k in _OPS)
+
+
+def _rows(reports: List[dict], keys) -> List[list]:
+    flat = [dict(r, **r["ops"]) for r in reports]
+    return [[f[k] for k in keys] for f in flat]
 
 
 def _table(reports: List[dict]) -> str:
-    rows = []
-    for r in reports:
-        ops = r["ops"]
-        rows.append([
-            r["variant"], r["nvar"], r["n_drf"], r["nodes"],
-            r["drf_applications"], "%.2f" % r["percent_effective"],
-            r["solutions"], "%.2f" % r["elapsed"],
-        ] + [ops[k] for k in _OPS])
+    heads, keys = zip(*[c for c in _COLUMNS if c[0] is not None])
+    rows = [["%.2f" % c if isinstance(c, float) else c for c in row]
+            for row in _rows(reports, keys)]
     widths = [max(len(h), max(len(str(row[i])) for row in rows))
-              for i, h in enumerate(_COLUMNS)]
-    out = ["  ".join(h.rjust(w) for h, w in zip(_COLUMNS, widths))]
+              for i, h in enumerate(heads)]
+    out = ["  ".join(h.rjust(w) for h, w in zip(heads, widths))]
     for row in rows:
         out.append("  ".join(str(c).rjust(w) for c, w in zip(row, widths)))
     return "\n".join(out)
 
 
 def _csv(reports: List[dict]) -> str:
-    head = ["variant", "division", "schedule", "nvar", "n_drf", "nodes",
-            "drf_applications", "percent_effective", "solutions",
-            "complete", "elapsed"]
-    lines = [",".join(head + list(_OPS))]
-    for r in reports:
-        row = [r[k] for k in head] + [r["ops"][k] for k in _OPS]
-        lines.append(",".join(map(str, row)))
+    keys = [k for _, k in _COLUMNS]
+    lines = [",".join(keys)]
+    lines += [",".join(map(str, row)) for row in _rows(reports, keys)]
     return "\n".join(lines)
 
 
@@ -123,7 +125,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         csp = _load_problem(args.problem, args.n)
-    except (ParseError, KeyError) as e:
+    except (ParseError, KeyError, ValueError) as e:
         print("intprop: %s" % e, file=sys.stderr)
         return 2
 

@@ -13,6 +13,10 @@ both sides).  Root extraction is exact and may return a union of up to two
 intervals; it is deliberately not closed into one interval because the gap
 around zero is what makes even-power propagation useful.
 
+Division is one case analysis on 0 in the operands; :func:`div` (exact)
+snaps the denominator's bounds to divisors of the numerator before the
+endpoint formula, :func:`div_weak` does not.
+
 Every arithmetic operation optionally takes an :class:`OpCounters` sink and
 bumps exactly one category; intersection and interior are not counted.
 """
@@ -330,19 +334,8 @@ def root(a: Interval, n: int, ctr: Optional[OpCounters] = None) -> Tuple[Interva
 
 # --- division ---------------------------------------------------------------
 
-def _cdivx(x, y):
-    # ceil(x / y) where x, y may be +-inf floats; y != 0
-    if isinstance(x, float):
-        return _INF if (x > 0) == (y > 0) else -_INF
-    if isinstance(y, float):
-        if x == 0:
-            return 0
-        return 1 if (x > 0) == (y > 0) else 0
-    return -((-x) // y)
-
-
 def _fdivx(x, y):
-    # floor(x / y) under the same conventions
+    # floor(x / y) where x, y may be +-inf floats; y != 0
     if isinstance(x, float):
         return _INF if (x > 0) == (y > 0) else -_INF
     if isinstance(y, float):
@@ -370,7 +363,8 @@ def _endpoint_div(a0, a1, c, d) -> Interval:
     xa1 = _INF if a1 is None else a1
     xc = -_INF if c is None else c
     xd = _INF if d is None else d
-    lo = min(_cdivx(xa0, xc), _cdivx(xa0, xd), _cdivx(xa1, xc), _cdivx(xa1, xd))
+    # ceil(x / y) == -floor(-x / y)
+    lo = -max(_fdivx(-xa0, xc), _fdivx(-xa0, xd), _fdivx(-xa1, xc), _fdivx(-xa1, xd))
     hi = max(_fdivx(xa0, xc), _fdivx(xa0, xd), _fdivx(xa1, xc), _fdivx(xa1, xd))
     return mk(None if lo == -_INF else lo, None if hi == _INF else hi)
 
@@ -400,91 +394,70 @@ def _scan_divisors(c: int, d: int, a0: int, a1: int):
     return (lo, lo)
 
 
-def _div_sign_definite(a, b) -> Interval:
-    # quotient closure for 0 not in den; preprocesses den bounds so they
-    # actually divide an element of the numerator (skipped when that is
-    # free: numerator unbounded or containing 0)
-    a0, a1 = a
-    b0, b1 = b
-    if (a0 is None or a1 is None
-            or ((a0 <= 0) and (a1 >= 0))):
-        return _endpoint_div(a0, a1, b0, b1)
-    e = max(-a0 if a0 < 0 else a0, -a1 if a1 < 0 else a1)
-    c = b0
-    d = b1
-    if c is None or c < -e:
-        c = -e
-    if d is None or d > e:
-        d = e
-    if c > d:
-        return None
-    cd = _scan_divisors(c, d, a0, a1)
-    if cd is None:
-        return None
-    return _endpoint_div(a0, a1, cd[0], cd[1])
-
-
-def _div_strong(a, b) -> Interval:
+def _quotient(a, b, exact: bool) -> Interval:
+    # the one case analysis behind div and div_weak (see div)
     if a is None or b is None:
         return None
     a0, a1 = a
     b0, b1 = b
-    den_zero = (b0 is None or b0 <= 0) and (b1 is None or b1 >= 0)
-    if not den_zero:
-        return _div_sign_definite(a, b)
-    num_zero = (a0 is None or a0 <= 0) and (a1 is None or a1 >= 0)
-    if num_zero:
-        return ALL
-    if b0 == 0 and b1 == 0:
-        return None
-    if (b0 is None or b0 < 0) and (b1 is None or b1 > 0):
-        if a0 is None or a1 is None:
+    if (b0 is None or b0 <= 0) and (b1 is None or b1 >= 0):
+        if (a0 is None or a0 <= 0) and (a1 is None or a1 >= 0):
             return ALL
+        if b0 == 0 and b1 == 0:
+            return None
+        if b0 != 0 and b1 != 0:
+            if a0 is None or a1 is None:
+                return ALL
+            e = max(-a0 if a0 < 0 else a0, -a1 if a1 < 0 else a1)
+            return (-e, e)
+        # one bound of the denominator is exactly 0: strip it
+        if b0 == 0:
+            b0 = 1
+        else:
+            b1 = -1
+    if exact and a0 is not None and a1 is not None and (a0 > 0 or a1 < 0):
+        # snap the denominator bounds to values dividing some numerator
+        # member; such a value is at most max |numerator| in magnitude
         e = max(-a0 if a0 < 0 else a0, -a1 if a1 < 0 else a1)
-        return (-e, e)
-    # one bound of den is exactly 0: drop it and retry
-    if b0 == 0:
-        return _div_sign_definite(a, (1, b1))
-    return _div_sign_definite(a, (b0, -1))
+        if b0 is None or b0 < -e:
+            b0 = -e
+        if b1 is None or b1 > e:
+            b1 = e
+        cd = _scan_divisors(b0, b1, a0, a1)
+        if cd is None:
+            return None
+        b0, b1 = cd
+    return _endpoint_div(a0, a1, b0, b1)
 
 
 def div(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
     """Closure of the set quotient {u | u*y = x for some x in a, y in b}.
 
-    Case analysis: 0 in both operands gives Z; a zero singleton denominator
-    with a zero-free numerator gives empty; a denominator straddling 0 gives
-    the symmetric interval bounded by max |numerator|; a zero endpoint of
-    the denominator is stripped; otherwise the endpoint formula applies
-    after snapping the denominator bounds to actual divisors.
+    One case analysis on 0 in the operands: 0 in both gives Z; a zero
+    singleton denominator with a zero-free numerator gives empty; a
+    denominator straddling 0 gives the symmetric interval bounded by
+    max |numerator| (Z when the numerator is unbounded); a zero endpoint of
+    the denominator is stripped.  What is left is a zero-free denominator,
+    and the endpoint formula applies after snapping its bounds to values
+    that divide some member of the numerator.
     """
     if ctr is not None:
         ctr.div += 1
-    return _div_strong(a, b)
+    return _quotient(a, b, True)
 
 
 def div_weak(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
     """Endpoint-formula quotient: a superset of :func:`div`, cheaper.
 
-    Skips the divisor preprocessing, so bounds may be off by the rounding
-    of the endpoint fractions.  Coincides with :func:`div` on singleton
-    operands.  Falls back to the exact quotient when neither endpoint rule
-    applies (those cases need no preprocessing anyway).
+    The same case analysis as :func:`div` without the snapping step, so
+    bounds may be off by the rounding of the endpoint fractions.  The two
+    differ only on a bounded numerator without 0: every non-zero value
+    divides some member of an unbounded numerator or one containing 0, so
+    there snapping changes nothing.  They also coincide on singletons.
     """
     if ctr is not None:
         ctr.div += 1
-    if a is None or b is None:
-        return None
-    a0, a1 = a
-    b0, b1 = b
-    den_zero = (b0 is None or b0 <= 0) and (b1 is None or b1 >= 0)
-    if not den_zero:
-        return _endpoint_div(a0, a1, b0, b1)
-    num_zero = (a0 is None or a0 <= 0) and (a1 is None or a1 >= 0)
-    if not num_zero and (b0 == 0 or b1 == 0) and not (b0 == 0 and b1 == 0):
-        if b0 == 0:
-            return _endpoint_div(a0, a1, 1, b1)
-        return _endpoint_div(a0, a1, b0, -1)
-    return _div_strong(a, b)
+    return _quotient(a, b, False)
 
 
 def div_scalar(a: Interval, k: int, ctr: Optional[OpCounters] = None) -> Interval:
@@ -512,45 +485,8 @@ def div_scalar(a: Interval, k: int, ctr: Optional[OpCounters] = None) -> Interva
     return mk(lo, hi)
 
 
-def _div_half_le(h: int, b) -> Interval:
-    # quotient of the half-line (..h] by interval b
-    b0, b1 = b
-    den_zero = (b0 is None or b0 <= 0) and (b1 is None or b1 >= 0)
-    if den_zero:
-        if h >= 0:
-            return ALL
-        if b0 == 0 and b1 == 0:
-            return None
-        if (b0 is None or b0 < 0) and (b1 is None or b1 > 0):
-            return ALL
-        if b0 == 0:
-            b0 = 1
-        else:
-            b1 = -1
-    if b0 is not None and b0 > 0:
-        hi = max(_fdivx(h, b0), _fdivx(h, _INF if b1 is None else b1))
-        return (None, hi)
-    lo = min(_cdivx(h, -_INF if b0 is None else b0), _cdivx(h, b1))
-    return (lo, None)
-
-
-def div_halfline(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
-    """Quotient of a half-bounded numerator, as the enclosing extended interval.
-
-    The sign of the denominator decides whether the result is a lower or
-    upper half-line; a denominator straddling zero (with a numerator not
-    containing zero) spreads over both rays, so all of Z comes back.
-    """
-    if ctr is not None:
-        ctr.div += 1
-    if a is None or b is None:
-        return None
-    a0, a1 = a
-    if a0 is None and a1 is None:
-        return ALL
-    if a1 is None:
-        r = _div_half_le(-a0, b)
-        return None if r is None else negate(r)
-    if a0 is not None:
-        raise ValueError("numerator must be half-bounded or Z")
-    return _div_half_le(a1, b)
+# A half-line numerator is never snapped, so div and div_weak agree on it
+# and half-lines need no routine of their own.  The name is kept only
+# because perfbench/layertrace.py wraps it by name; delete it once that
+# list drops it.
+div_halfline = div_weak

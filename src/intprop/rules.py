@@ -290,8 +290,10 @@ class PolyRule(Rule):
 
     The pivot monomial is split into the isolated power ``x_j ** n_p`` and
     the divisor monomial ``s``; the residue of the other monomials is
-    divided by ``s`` and root-extracted.  Equality uses two-sided interval
-    division, inequality divides a half-line.  In simplified-fraction mode
+    divided by ``s`` and root-extracted.  Equality divides an interval,
+    inequality the half-line below its upper bound; both use the rule's
+    division, which never snaps the denominator for a half-line (weak and
+    strong division agree there).  In simplified-fraction mode
     common variable powers between the terms and ``s`` are cancelled
     symbolically and the residue is summed in rational arithmetic, which
     needs every divisor variable's domain to exclude zero (otherwise the
@@ -314,10 +316,7 @@ class PolyRule(Rule):
         self.vj = vj
         self.b = constraint.rhs
         self.op = constraint.op
-        if self.op == "le":
-            self.divfn = iv.div_halfline
-        else:
-            self.divfn = iv.div_weak if division == "weak" else iv.div
+        self.divfn = iv.div_weak if division == "weak" else iv.div
         self.writes = vj
         reads = set(v for _, rpp in self.residual for v, _ in rpp)
         reads.update(v for v, _ in self.s_pp)

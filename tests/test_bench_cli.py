@@ -61,6 +61,10 @@ class TestBenchmarkShapes:
         with pytest.raises(KeyError):
             build_benchmark("nosuch")
 
+    def test_fractions_takes_no_size(self):
+        with pytest.raises(ValueError, match="fractions takes no size"):
+            build_benchmark("fractions", 5)
+
 
 class TestCli:
     def test_json_stats(self, capsys):
@@ -136,6 +140,25 @@ class TestCli:
         code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
         assert code == 2
         assert err.startswith("intprop: domain of x is still unbounded")
+
+    def test_size_for_fractions_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "--problem", "fractions", "--n", "5",
+                                 "--max-nodes", "1", "--stats", "json")
+        assert code == 2
+        assert out == ""
+        assert err == "intprop: fractions takes no size\n"
+
+    def test_table_and_csv_headers(self, capsys):
+        args = ("--problem", "sumprod", "--n", "7", "--variant", "fe")
+        _, out, _ = run_cli(capsys, *args)
+        assert out.splitlines()[0] == (
+            "variant  nvar  nDRF  nodes  applied   %eff  sol  time(s)  root"
+            "  exp  div  multI  multF    sum  q_div  q_sum  total")
+        _, out, _ = run_cli(capsys, *args, "--stats", "csv")
+        assert out.splitlines()[0] == (
+            "variant,division,schedule,nvar,n_drf,nodes,drf_applications,"
+            "percent_effective,solutions,complete,elapsed,root,exp,div,multI,"
+            "multF,sum,q_div,q_sum,total")
 
     def test_max_nodes_marks_incomplete(self, capsys):
         code, out, err = run_cli(capsys, "--problem", "cubes", "--n", "500",

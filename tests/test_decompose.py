@@ -13,6 +13,7 @@ from intprop.model import (
     MultAtom,
     Pow,
     PowerAtom,
+    TrivialConstraint,
     Var,
     check_assignment,
     normalize,
@@ -268,17 +269,37 @@ class TestSolutionProjection:
         return out
 
     def enumerate_decomposed(self, dec):
-        if dec.infeasible:
+        # backtracking over the variables in index order; each constraint
+        # is checked as soon as its highest-numbered variable is assigned
+        if dec.infeasible or any(d is None for d in dec.domains):
             return set()
-        doms = []
-        for d in dec.domains:
-            if d is None:
-                return set()
-            doms.append(range(d[0], d[1] + 1))
+        n = len(dec.domains)
+        due = [[] for _ in range(n + 1)]    # due[k]: needs the first k vars
+        for c in dec.constraints:
+            if isinstance(c, MultAtom):
+                vs = (c.x, c.y, c.z)
+            elif isinstance(c, PowerAtom):
+                vs = (c.x, c.y)
+            elif isinstance(c, TrivialConstraint):
+                vs = ()
+            else:
+                vs = c.vars()
+            due[max(vs, default=-1) + 1].append(c)
+        vals = [0] * n
         out = set()
-        for vals in itertools.product(*doms):
-            if all(check_assignment(c, vals) for c in dec.constraints):
-                out.add(vals[:dec.n_user])
+
+        def extend(k):
+            if not all(check_assignment(c, vals) for c in due[k]):
+                return
+            if k == n:
+                out.add(tuple(vals[:dec.n_user]))
+                return
+            lo, hi = dec.domains[k]
+            for v in range(lo, hi + 1):
+                vals[k] = v
+                extend(k + 1)
+
+        extend(0)
         return out
 
     def test_projection_preserves_solutions(self):

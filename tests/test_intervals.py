@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from intprop.intervals import (
     ALL,
     OpCounters,
@@ -198,8 +196,8 @@ class TestDiv:
         assert div_halfline((5, None), iv(2, 3)) == (2, None)
         assert div_halfline(ALL, iv(2, 3)) == ALL
         assert div_halfline((None, -1), iv(0, 0)) is None
-        with pytest.raises(ValueError):
-            div_halfline(iv(1, 2), iv(1, 2))
+        # a bounded numerator gets the weak quotient
+        assert div_halfline(iv(155, 161), iv(9, 11)) == (15, 17)
 
 
 class TestCounters:
@@ -331,6 +329,32 @@ class TestEnumerationOracle:
                 parts = root(exp(a, n), n)
                 for x in iter_values(a):
                     assert any(contains(p, x) for p in parts)
+
+    def test_division_with_infinite_bounds(self):
+        # bounds in [-9..9] or infinite: a solution y of u*y in a, y in b
+        # exists within UNIVERSE whenever one exists at all
+        rng = random.Random(13)
+        window = range(-30, 31)
+
+        def draw():
+            lo, hi = (None if rng.random() < 0.3 else rng.randint(-9, 9)
+                      for _ in range(2))
+            if lo is not None and hi is not None and lo > hi:
+                lo, hi = hi, lo
+            return (lo, hi)
+
+        for _ in range(2000):
+            a = draw()
+            b = draw()
+            strong = div(a, b)
+            weak = div_weak(a, b)
+            ys = [y for y in UNIVERSE if contains(b, y)]
+            for u in window:
+                if any(contains(a, u * y) for y in ys):
+                    assert contains(strong, u) and contains(weak, u), (a, b, u)
+            assert issubset(strong, weak), (a, b)
+            if a[0] is None or a[1] is None or contains(a, 0):
+                assert strong == weak, (a, b)
 
     def test_halfline_division_matches_enumeration(self):
         rng = random.Random(11)
