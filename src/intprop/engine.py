@@ -34,7 +34,14 @@ class Solver:
     """One propagation instance: rules + store + pending flags + counters.
 
     Confine an instance to a single thread; independent instances are free
-    to run concurrently.
+    to run concurrently, also when built from one decomposition.  They then
+    share its rules, and with them the residue snapshots of its polynomial
+    constraints; a snapshot is reused only for the store it was computed
+    for and only while that store's domains are equal to its own, so no
+    instance takes another's snapshot as valid and results never depend on
+    other instances.  Op counters do not depend on earlier runs; runs that
+    interleave may count more, since each re-evaluates the snapshots the
+    other replaced.
     """
 
     def __init__(self, decomposed, mode: str = "scheduled",

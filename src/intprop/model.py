@@ -13,6 +13,7 @@ and for test oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -117,6 +118,21 @@ class Root(Expr):
         self.n = n
 
 
+def _sum_terms(e: Expr) -> List[Tuple[int, Expr]]:
+    """The signed terms of a chain of ``Add``/``Sub`` nodes, leftmost first.
+
+    The parser nests a sum of n terms n levels deep along its left
+    operands, so this walks that spine in a loop rather than recursing.
+    """
+    terms = []
+    while isinstance(e, (Add, Sub)):
+        terms.append((1 if isinstance(e, Add) else -1, e.right))
+        e = e.left
+    terms.append((1, e))
+    terms.reverse()
+    return terms
+
+
 def eval_expr(e: Expr, values) -> int:
     """Exact integer evaluation (no Div/Root)."""
     if isinstance(e, Var):
@@ -125,10 +141,12 @@ def eval_expr(e: Expr, values) -> int:
         return e.value
     if isinstance(e, Neg):
         return -eval_expr(e.arg, values)
-    if isinstance(e, Add):
-        return eval_expr(e.left, values) + eval_expr(e.right, values)
-    if isinstance(e, Sub):
-        return eval_expr(e.left, values) - eval_expr(e.right, values)
+    if isinstance(e, (Add, Sub)):
+        total = 0
+        for sign, term in _sum_terms(e):
+            value = eval_expr(term, values)
+            total = total + value if sign > 0 else total - value
+        return total
     if isinstance(e, Mul):
         return eval_expr(e.left, values) * eval_expr(e.right, values)
     if isinstance(e, Pow):
@@ -223,14 +241,14 @@ def _poly_of(e: Expr) -> Dict[PowerProduct, int]:
     if isinstance(e, Neg):
         return {pp: -c for pp, c in _poly_of(e.arg).items()}
     if isinstance(e, (Add, Sub)):
-        sign = 1 if isinstance(e, Add) else -1
-        out = dict(_poly_of(e.left))
-        for pp, c in _poly_of(e.right).items():
-            nc = out.get(pp, 0) + sign * c
-            if nc:
-                out[pp] = nc
-            else:
-                out.pop(pp, None)
+        out: Dict[PowerProduct, int] = {}
+        for sign, term in _sum_terms(e):
+            for pp, c in _poly_of(term).items():
+                nc = out.get(pp, 0) + sign * c
+                if nc:
+                    out[pp] = nc
+                else:
+                    out.pop(pp, None)
         return out
     if isinstance(e, Mul):
         return _poly_mul(_poly_of(e.left), _poly_of(e.right))
@@ -265,18 +283,24 @@ def _poly_mul(a, b):
     return out
 
 
-def monomial_sort_key(nvars: int):
-    def key(mon: MonomialT):
-        vec = [0] * nvars
-        for v, e in mon[1]:
-            vec[v] = e
-        return tuple(-x for x in vec)
+def _pp_key(pp: PowerProduct):
+    """Canonical monomial order: by exponent vectors, larger exponents of
+    lower-numbered variables first.
 
-    return key
+    A power product lists its variables in increasing order, and a
+    variable it lacks has exponent 0, which sorts after every exponent it
+    has; so the sparse pairs with a last element above them all compare as
+    the dense vectors would, without building a vector per variable.
+    """
+    return tuple((v, -e) for v, e in pp) + ((math.inf,),)
 
 
 def normalize(lhs: Expr, op: str, rhs: Expr, nvars: int) -> Constraint:
-    """Rewrite `lhs op rhs` into canonical polynomial-constraint form."""
+    """Rewrite `lhs op rhs` into canonical polynomial-constraint form.
+
+    ``nvars`` is the number of variables; the canonical monomial order
+    does not depend on it.
+    """
     if op not in _COMPARE:
         raise ValueError("unknown comparison %r" % op)
     origin = (lhs, op, rhs)
@@ -306,7 +330,7 @@ def normalize(lhs: Expr, op: str, rhs: Expr, nvars: int) -> Constraint:
         else:
             sat = b != 0
         return TrivialConstraint(sat, origin=origin)
-    mons = sorted(diff.items(), key=lambda it: monomial_sort_key(nvars)((0, it[0])))
+    mons = sorted(diff.items(), key=lambda it: _pp_key(it[0]))
     return PolynomialConstraint(tuple((c, pp) for pp, c in mons), op, b,
                                 origin=origin)
 
@@ -401,6 +425,11 @@ _SYMBOLS = ("<=", ">=", "!=", "..", "<", ">", "=", ";", "^", "*", "+", "-",
             "(", ")", "[", "]")
 
 
+# only ASCII digits: str.isdigit also accepts superscripts and other
+# scripts' digits, which int() rejects or reads as their value
+_DIGITS = "0123456789"
+
+
 def _tokenize(text: str):
     tokens = []
     line, col = 1, 1
@@ -421,9 +450,9 @@ def _tokenize(text: str):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(text[i:j]), line, col))
             col += j - i

@@ -22,6 +22,7 @@ from intprop.model import (
     normalize,
     parse,
 )
+from intprop.search import solve_all, verify_solution
 
 
 def mono_strs(c, names):
@@ -177,6 +178,26 @@ class TestParser:
             parse("var x in [5..1];")
         with pytest.raises(ParseError, match="duplicate goal"):
             parse("var x in [1..2]; solve all; solve all;")
+
+    def test_non_ascii_digits_are_rejected(self):
+        # a superscript two, which int() rejects, and an Arabic-Indic three,
+        # which int() would read as 3
+        for digit in ("\u00b2", "\u0663"):
+            with pytest.raises(ParseError, match="unexpected character") as e:
+                parse("var x in [0..%s]; solve all;" % digit)
+            assert (e.value.line, e.value.col) == (1, 14)
+
+    def test_long_sum_parses_and_solves(self):
+        # x + y + x + y + ... with 3000 terms nests 3000 levels deep
+        terms = " + ".join("xy"[i % 2] for i in range(3000))
+        csp = parse("var x in [0..2]; var y in [0..2];\n"
+                    "constraint %s = 3000; solve all;" % terms)
+        assert csp.constraints[0].monomials == ((1500, ((0, 1),)),
+                                                (1500, ((1, 1),)))
+        sols, _ = solve_all(csp)
+        assert sorted(sols) == [(0, 2), (1, 1), (2, 0)]
+        assert all(verify_solution(csp, s) for s in sols)
+        assert not verify_solution(csp, (1, 2))
 
     def test_comments_and_parens(self):
         csp = parse("""

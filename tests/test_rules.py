@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from intprop import intervals as iv
 from intprop.intervals import OpCounters
 from intprop.model import (
     Add,
@@ -8,6 +9,7 @@ from intprop.model import (
     Lit,
     Mul,
     MultAtom,
+    PolynomialConstraint,
     Pow,
     PowerAtom,
     Root,
@@ -26,6 +28,7 @@ from intprop.rules import (
     PolyRule,
     build_rules,
     eval_int,
+    eval_monomial,
     is_bounds_consistent,
 )
 
@@ -197,6 +200,99 @@ class TestPolyRules:
                                [("x", (1, 9)), ("y", (1, 9)), ("z", (1, 81))])
         rule = PolyRule(c, 0, 0, optimized=True)
         assert not rule.optimized
+
+
+def plain_path_oracle(c, l, vj, division, store):
+    """The plain path of a polynomial rule with the residue summed per
+    rule: subtract every other monomial from the bound one by one, divide
+    by the divisor monomial, root-extract and intersect.  Returns what
+    ``apply`` returns and updates ``store`` the same way."""
+    coeff, pp = c.monomials[l]
+    n_p = dict(pp)[vj]
+    s_pp = tuple((v, e) for v, e in pp if v != vj)
+    acc = (c.rhs, c.rhs)
+    for i, (ci, ppi) in enumerate(c.monomials):
+        if i != l:
+            acc = iv.sub(acc, eval_monomial(ci, ppi, store, None))
+    if c.op == "le" and acc is not None:
+        acc = (None, acc[1])
+    if s_pp:
+        divfn = iv.div_weak if division == "weak" else iv.div
+        q = divfn(acc, eval_monomial(coeff, s_pp, store, None))
+    else:
+        q = iv.div_scalar(acc, coeff)
+    dv = store[vj]
+    if n_p == 1:
+        nd = iv.intersect(dv, q)
+    else:
+        nd = None
+        for part in iv.root(q, n_p):
+            p = iv.intersect(dv, part)
+            if p is not None:
+                nd = iv.span(nd, p)
+    if nd == dv:
+        return UNCHANGED
+    store[vj] = nd
+    return vj
+
+
+def random_polynomial(rng, nvars):
+    """1-5 distinct monomials over ``nvars`` variables, exponents 1-3."""
+    mons = {}
+    for _ in range(rng.randint(1, 5)):
+        pp = {}
+        for _ in range(rng.randint(1, 3)):
+            v = rng.randrange(nvars)
+            pp[v] = min(3, pp.get(v, 0) + rng.randint(1, 2))
+        mons[tuple(sorted(pp.items()))] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return tuple((c, pp) for pp, c in mons.items())
+
+
+def random_domain(rng):
+    """Bounds in [-6..6], each infinite with probability 1/5."""
+    lo, hi = sorted(rng.randint(-6, 6) for _ in range(2))
+    return (None if rng.random() < 0.2 else lo,
+            None if rng.random() < 0.2 else hi)
+
+
+class TestSharedResidue:
+    def test_matches_per_rule_residue(self):
+        # The rules of one constraint share one snapshot of its monomials.
+        # Each step applies a random rule to the running store and the
+        # oracle to a copy; between steps the store is replaced, refilled
+        # in place (the same list with other domains, as search restores
+        # it) or one of its domains is redrawn.
+        rng = random.Random(20061)
+        applied = changed = 0
+        for _ in range(1500):
+            nvars = rng.randint(1, 4)
+            c = PolynomialConstraint(random_polynomial(rng, nvars),
+                                     rng.choice(("eq", "le")),
+                                     rng.randint(-12, 12))
+            division = rng.choice(("weak", "strong"))
+            rules = [r for r in build_rules([c], division)
+                     if isinstance(r, PolyRule)]
+            if not rules:
+                continue
+            store = [random_domain(rng) for _ in range(nvars)]
+            for _ in range(12):
+                rule = rules[rng.randrange(len(rules))]
+                want_store = list(store)
+                want = plain_path_oracle(c, rule.l, rule.vj, division,
+                                         want_store)
+                got = rule.apply(store, None)
+                assert (got, store) == (want, want_store), (c, rule)
+                applied += 1
+                changed += got != UNCHANGED
+                move = rng.random()
+                if want_store[rule.vj] is None or move < 0.15:
+                    store[:] = [random_domain(rng) for _ in range(nvars)]
+                elif move < 0.3:
+                    store = [random_domain(rng) for _ in range(nvars)]
+                elif move < 0.5:
+                    store[rng.randrange(nvars)] = random_domain(rng)
+        # a test that seldom changes a domain would check little
+        assert applied > 10000 and changed > applied // 10
 
 
 class TestMultRules:

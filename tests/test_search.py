@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -125,6 +126,77 @@ class TestSolveAll:
         sols, stats = solve_all(csp, "fe")
         for s in sols:
             assert verify_solution(csp, s)
+
+
+class TestSharedDecomposition:
+    """Solvers built from one decomposition share its rules, and with them
+    the residue snapshots of the polynomial constraints."""
+
+    @staticmethod
+    def kyoto_du():
+        # base 9 with B pinned: four solutions, one 9-monomial constraint
+        csp = build_benchmark("kyoto", 9)
+        csp.domains[csp.var("B")] = (9, 9)
+        return csp, decompose(csp, "du")
+
+    @staticmethod
+    def work(stats):
+        return (stats.nodes, stats.solutions, stats.drf_applications,
+                stats.drf_effective, stats.counters.as_dict())
+
+    @staticmethod
+    def fixed_du():
+        # every domain fixed at the solution: no rule changes a domain, so
+        # the second run starts on the domains the first one ended on
+        csp = parse("var x in [2..2]; var y in [3..3]; var z in [1..1];"
+                    "constraint x*y + y*z + x*z = 11; solve all;")
+        return csp, decompose(csp, "du")
+
+    def test_repeated_runs_count_the_same(self):
+        for csp, dec in (self.kyoto_du(), self.fixed_du()):
+            first_sols, first = solve_all(csp, dec=dec)
+            again_sols, again = solve_all(csp, dec=dec)
+            assert first_sols
+            assert again_sols == first_sols
+            assert self.work(again) == self.work(first)
+
+    def test_nested_run_leaves_the_outer_run_alone(self):
+        csp, dec = self.kyoto_du()
+        lone_sols, lone = solve_all(csp, dec=dec)
+        inner = []
+
+        def run_inner(sol):
+            if not inner:
+                inner.append(solve_all(csp, dec=dec))
+
+        outer_sols, outer = solve_all(csp, dec=dec, on_solution=run_inner)
+        assert inner and inner[0][0] == lone_sols
+        assert outer_sols == lone_sols
+        assert self.work(outer)[:4] == self.work(lone)[:4]
+
+    def test_concurrent_runs_match_a_lone_run(self):
+        # more threads than cores, switching often, all on one decomposition
+        csp, dec = self.kyoto_du()
+        lone_sols, lone = solve_all(csp, dec=dec)
+        results = []
+
+        def run():
+            for _ in range(3):
+                sols, stats = solve_all(csp, dec=dec)
+                results.append((sols, self.work(stats)[:4]))
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [(lone_sols, self.work(lone)[:4])] * 12
 
 
 class TestMaximize:
