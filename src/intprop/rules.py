@@ -5,11 +5,12 @@ with a ``reads`` tuple (variables its update depends on), a ``writes``
 variable, and an ``apply(store, counters)`` method.  ``apply`` returns
 ``-1`` when the store is unchanged, otherwise the written variable id; a
 write of ``None`` (the empty interval) into the store signals failure and
-the caller must stop propagating.  Rules are immutable, except that the
-rules of one polynomial constraint with three or more monomials share a
-snapshot of its monomials' intervals, keyed on the store and validated by
-value, which any of them may replace.  The result of ``apply`` depends
-only on the store's domains.
+the caller must stop propagating, and no rule is applied to a store with
+an empty domain.  Rules are immutable, except that the rules of one
+general polynomial constraint share a snapshot of its monomials'
+intervals and residues, keyed on the store and validated by value, which
+any of them may fill in or replace.  The result of ``apply`` depends only
+on the store's domains.
 
 Rule families:
 
@@ -291,57 +292,124 @@ def _simplified_groups(monomials, l, b, s_coeff, s_pp):
 
 
 class _Residuals:
-    """Interval snapshot of one polynomial constraint's monomials, shared
-    by all its :class:`PolyRule` objects.
+    """The residues of one polynomial constraint, shared by all its
+    :class:`PolyRule` objects.
 
-    ``snap`` is the immutable tuple ``(store, domains, los, his, rlo, rhi,
-    nlo, nhi)``: the store it was computed for, that store's domains of the
-    constraint's variables, each monomial's bounds, ``b`` minus the sum of
-    the finite upper (``rlo``) and lower (``rhi``) bounds, and the numbers
-    of infinite lower and upper bounds.  Bounds are exact integers, so
-    ``b`` minus every monomial but ``m_l`` is this with ``m_l``'s bounds
-    added back, infinite where an infinite bound other than ``m_l``'s
-    remains.  An empty monomial makes ``los`` and ``his`` ``None``.
+    ``snap`` is ``(store, domains, cells)``: the store the cells hold
+    values for, that store's domains of the constraint's variables, and
+    the list ``[total, first, acc_0 .. acc_k-1, m_0 .. m_k-1]``, each entry
+    ``None`` until computed.  ``m_i`` is the ``i``-th monomial's interval,
+    ``acc_l`` the residue ``b`` minus every monomial but the ``l``-th,
+    ``total`` ``b`` minus all of them, and ``first`` the ``l`` of the first
+    residue summed.  A residue is kept as ``(lo, nlo, hi, nhi)``: ``b``
+    minus the finite upper bounds, the number of infinite ones, ``b`` minus
+    the finite lower bounds, the number of infinite ones.  Bounds are exact
+    integers, so taking a monomial out of a residue or adding one back is
+    exact: it moves one bound or one count.
 
-    A snapshot is reused only for the same store (``is``) with equal
-    domains; otherwise a fresh one is published with one attribute write.
+    The cells are reused only for the same store (``is``) with equal
+    domains; otherwise fresh ones are published with one attribute write.
+    Every monomial is evaluated at most once per snapshot, and only for a
+    rule that does not pivot on it.  The first residue is summed from the
+    other monomials.  With three or more monomials, ``total`` is then the
+    first residue minus its own monomial, and every further residue is
+    ``total`` plus one monomial.  So no rule application evaluates a
+    monomial or adds an interval that the per-rule sum ``b - m_1 - ... -
+    m_k`` would not.
     """
 
-    __slots__ = ("monomials", "b", "domains_of", "snap")
+    __slots__ = ("monomials", "b", "domains_of", "terms", "blank", "snap")
 
     def __init__(self, constraint: PolynomialConstraint):
-        self.monomials = constraint.monomials
+        mons = constraint.monomials
+        k = len(mons)
+        self.monomials = mons
         self.b = constraint.rhs
         self.domains_of = operator.itemgetter(*sorted(constraint.vars()))
-        self.snap = (None, None)
+        # (cell of m_i, coefficient, power product) for each monomial
+        self.terms = tuple((2 + k + i, c, pp)
+                           for i, (c, pp) in enumerate(mons))
+        self.blank = [None] * (2 + 2 * k)
+        self.snap = (None, None, self.blank.copy())
 
-    def refresh(self, store, domains, ctr):
-        """Evaluate every monomial on ``store`` and publish the snapshot;
-        counts one subtraction from ``b`` per monomial."""
-        ms = [eval_monomial(c, pp, store, ctr) for c, pp in self.monomials]
+    def residue(self, l: int, store: DomainStore,
+                ctr: Optional[OpCounters]) -> Interval:
+        """``b`` minus every monomial but the ``l``-th, on ``store``."""
+        domains = self.domains_of(store)
+        snap = self.snap
+        if snap[0] is not store or snap[1] != domains:
+            snap = self.snap = (store, domains, self.blank.copy())
+        cells = snap[2]
+        acc = cells[2 + l]
+        if acc is None:
+            if cells[1] is not None and len(self.terms) > 2:
+                acc = self._from_total(cells, l, store, ctr)
+            else:
+                acc = self._sum_others(cells, l, store, ctr)
+                if cells[1] is None:
+                    cells[1] = l
+            cells[2 + l] = acc
+        lo, nlo, hi, nhi = acc
+        return (None if nlo else lo, None if nhi else hi)
+
+    def _sum_others(self, cells, l, store, ctr):
+        # b minus the other monomials, evaluating those not yet known;
+        # the counts of infinite bounds only when there are any
+        terms = self.terms
+        skip = terms[l][0]
+        lo = hi = self.b
+        for j, c, pp in terms:
+            if j != skip:
+                m = cells[j]
+                if m is None:
+                    m = cells[j] = eval_monomial(c, pp, store, ctr)
+                try:
+                    lo -= m[1]
+                    hi -= m[0]
+                except TypeError:
+                    lo = None
         if ctr is not None:
-            ctr.sum += len(ms)
-        if None in ms:
-            snap = (store, domains, None, None, None, None, 0, 0)
-        else:
-            los = tuple(m[0] for m in ms)
-            his = tuple(m[1] for m in ms)
-            finite_los = [lo for lo in los if lo is not None]
-            finite_his = [hi for hi in his if hi is not None]
-            snap = (store, domains, los, his, self.b - sum(finite_his),
-                    self.b - sum(finite_los), len(los) - len(finite_los),
-                    len(his) - len(finite_his))
-        self.snap = snap
-        return snap
+            ctr.sum += len(terms) - 1
+        if lo is not None:
+            return (lo, 0, hi, 0)
+        acc = (self.b, 0, self.b, 0)
+        for j, _, _ in terms:
+            if j != skip:
+                acc = _shift(acc, cells[j], -1)
+        return acc
+
+    def _from_total(self, cells, l, store, ctr):
+        # total plus m_l: two additions for the second residue, one after,
+        # where b minus the other monomials takes k - 1 >= 2
+        total = cells[0]
+        if total is None:
+            f = cells[1]
+            j, c, pp = self.terms[f]
+            m = cells[j]
+            if m is None:
+                m = cells[j] = eval_monomial(c, pp, store, ctr)
+            total = cells[0] = _shift(cells[2 + f], m, -1)
+            if ctr is not None:
+                ctr.sum += 1
+        if ctr is not None:
+            ctr.sum += 1
+        # the first residue and its own monomial cover all of them
+        return _shift(total, cells[self.terms[l][0]], 1)
 
 
-def _residuals(constraint: PolynomialConstraint) -> Optional[_Residuals]:
-    # A snapshot of k monomials evaluates k where one rule evaluates k - 1,
-    # so it pays once it serves more than k / (k - 1) rule applications:
-    # with two monomials, more than two.  The partial rewriting of
-    # fractions, whose polynomial constraints all have two monomials,
-    # averaged 1.8.
-    return _Residuals(constraint) if len(constraint.monomials) > 2 else None
+def _shift(acc, m, sign):
+    """The residue ``acc`` plus ``sign`` (1 or -1) times the interval
+    ``m``."""
+    lo, nlo, hi, nhi = acc
+    if m[1] is None:
+        nlo -= sign
+    else:
+        lo += sign * m[1]
+    if m[0] is None:
+        nhi -= sign
+    else:
+        hi += sign * m[0]
+    return (lo, nlo, hi, nhi)
 
 
 class PolyRule(Rule):
@@ -349,25 +417,24 @@ class PolyRule(Rule):
 
     The pivot monomial ``m_l`` is split into the isolated power
     ``x_j ** n_p`` and the divisor monomial ``s``; the residue ``b`` minus
-    the other monomials is divided by ``s`` and root-extracted.  With three
-    or more monomials the residue comes in O(1), and one counted interval
-    addition, from the constraint's shared :class:`_Residuals` snapshot,
-    keyed on the store and validated by value; with two it is ``b`` minus
-    the other monomial, with one ``b``.  Equality divides an interval,
-    inequality the half-line below its upper bound; both use the rule's
-    division, which never snaps the denominator for a half-line (weak and
-    strong division agree there).  In simplified-fraction mode common
-    variable powers between the terms and ``s`` are cancelled symbolically
-    and the residue is summed in rational arithmetic, which needs every
-    divisor variable's domain to exclude zero (otherwise the plain path
-    runs).
+    the other monomials is divided by ``s`` and root-extracted.  The
+    residue comes from the :class:`_Residuals` that all rules of the
+    constraint share; on a store whose domains it has already seen, in
+    O(1).  Equality divides an interval, inequality the half-line below
+    its upper bound; both use the rule's division, which never snaps the
+    denominator for a half-line (weak and strong division agree there).
+    In simplified-fraction mode common variable powers between the terms
+    and ``s`` are cancelled symbolically and the residue is summed in
+    rational arithmetic, which needs every divisor variable's domain to
+    exclude zero (otherwise the plain path runs).
 
-    ``shared`` is the snapshot holder :func:`build_rules` passes to every
-    rule of a constraint; a rule built alone makes its own.
+    ``shared`` is the constraint's :class:`_Residuals`, which
+    :func:`build_rules` passes to every rule of the constraint; a rule
+    built alone makes its own.
     """
 
-    __slots__ = ("shared", "other", "l", "s_coeff", "s_pp", "n_p", "vj",
-                 "b", "op", "divfn", "optimized", "groups", "s_vars")
+    __slots__ = ("shared", "l", "s_coeff", "s_pp", "n_p", "vj", "op",
+                 "divfn", "optimized", "groups", "s_vars")
 
     variant = "Poly"
 
@@ -375,15 +442,14 @@ class PolyRule(Rule):
                  division: str = "weak", optimized: bool = False,
                  shared: Optional[_Residuals] = None):
         mons = constraint.monomials
-        self.shared = shared if shared is not None else _residuals(constraint)
-        self.other = mons[1 - l] if len(mons) == 2 else None
+        assert shared is None or shared.monomials is mons
+        self.shared = shared if shared is not None else _Residuals(constraint)
         self.l = l
         c, pp = mons[l]
         self.n_p = dict(pp)[vj]
         self.s_coeff = c
         self.s_pp = tuple((v, e) for v, e in pp if v != vj)
         self.vj = vj
-        self.b = constraint.rhs
         self.op = constraint.op
         self.divfn = iv.div_weak if division == "weak" else iv.div
         self.writes = vj
@@ -396,7 +462,8 @@ class PolyRule(Rule):
         self.reads = tuple(sorted(reads))
         self.optimized = (optimized and bool(self.s_pp)
                           and not others.isdisjoint(self.s_vars))
-        self.groups = (_simplified_groups(mons, l, self.b, c, self.s_pp)
+        self.groups = (_simplified_groups(mons, l, constraint.rhs, c,
+                                          self.s_pp)
                        if self.optimized else None)
 
     def apply(self, store, ctr):
@@ -408,35 +475,8 @@ class PolyRule(Rule):
                     break
             else:
                 return self._apply_fractions(store, ctr)
-        b = self.b
-        shared = self.shared
-        if shared is not None:
-            snap = shared.snap
-            domains = shared.domains_of(store)
-            if snap[0] is not store or snap[1] != domains:
-                snap = shared.refresh(store, domains, ctr)
-            _, _, los, his, rlo, rhi, nlo, nhi = snap
-            if los is None:
-                acc = None
-            else:
-                m = his[self.l]
-                if m is None:
-                    lo = rlo if nhi == 1 else None
-                else:
-                    lo = None if nhi else rlo + m
-                m = los[self.l]
-                if m is None:
-                    hi = rhi if nlo == 1 else None
-                else:
-                    hi = None if nlo else rhi + m
-                acc = (lo, hi)
-                if ctr is not None:
-                    ctr.sum += 1
-        elif self.other is not None:
-            acc = iv.sub((b, b), eval_monomial(*self.other, store, ctr), ctr)
-        else:
-            acc = (b, b)
-        if self.op == "le" and acc is not None:
+        acc = self.shared.residue(self.l, store, ctr)
+        if self.op == "le":
             acc = (None, acc[1])
         if self.s_pp:
             siv = eval_monomial(self.s_coeff, self.s_pp, store, ctr)
@@ -710,7 +750,7 @@ def build_rules(constraints, division: str = "weak",
             for j in range(len(coeffs)):
                 rules.append(cls(coeffs, c.rhs, j))
             continue
-        shared = _residuals(c)
+        shared = _Residuals(c)
         for l, (_, pp) in enumerate(c.monomials):
             for v, _ in pp:
                 rules.append(PolyRule(c, l, v, division, optimized, shared))

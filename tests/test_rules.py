@@ -202,7 +202,7 @@ class TestPolyRules:
         assert not rule.optimized
 
 
-def plain_path_oracle(c, l, vj, division, store):
+def plain_path_oracle(c, l, vj, division, store, ctr=None):
     """The plain path of a polynomial rule with the residue summed per
     rule: subtract every other monomial from the bound one by one, divide
     by the divisor monomial, root-extract and intersect.  Returns what
@@ -213,20 +213,20 @@ def plain_path_oracle(c, l, vj, division, store):
     acc = (c.rhs, c.rhs)
     for i, (ci, ppi) in enumerate(c.monomials):
         if i != l:
-            acc = iv.sub(acc, eval_monomial(ci, ppi, store, None))
+            acc = iv.sub(acc, eval_monomial(ci, ppi, store, ctr), ctr)
     if c.op == "le" and acc is not None:
         acc = (None, acc[1])
     if s_pp:
         divfn = iv.div_weak if division == "weak" else iv.div
-        q = divfn(acc, eval_monomial(coeff, s_pp, store, None))
+        q = divfn(acc, eval_monomial(coeff, s_pp, store, ctr), ctr)
     else:
-        q = iv.div_scalar(acc, coeff)
+        q = iv.div_scalar(acc, coeff, ctr)
     dv = store[vj]
     if n_p == 1:
         nd = iv.intersect(dv, q)
     else:
         nd = None
-        for part in iv.root(q, n_p):
+        for part in iv.root(q, n_p, ctr):
             p = iv.intersect(dv, part)
             if p is not None:
                 nd = iv.span(nd, p)
@@ -261,9 +261,10 @@ class TestSharedResidue:
         # Each step applies a random rule to the running store and the
         # oracle to a copy; between steps the store is replaced, refilled
         # in place (the same list with other domains, as search restores
-        # it) or one of its domains is redrawn.
+        # it) or one of its domains is redrawn.  No application counts an
+        # operation of any kind more often than the oracle's.
         rng = random.Random(20061)
-        applied = changed = 0
+        applied = changed = cheaper = 0
         for _ in range(1500):
             nvars = rng.randint(1, 4)
             c = PolynomialConstraint(random_polynomial(rng, nvars),
@@ -278,12 +279,17 @@ class TestSharedResidue:
             for _ in range(12):
                 rule = rules[rng.randrange(len(rules))]
                 want_store = list(store)
+                want_ctr, got_ctr = OpCounters(), OpCounters()
                 want = plain_path_oracle(c, rule.l, rule.vj, division,
-                                         want_store)
-                got = rule.apply(store, None)
+                                         want_store, want_ctr)
+                got = rule.apply(store, got_ctr)
                 assert (got, store) == (want, want_store), (c, rule)
+                want_ops, got_ops = want_ctr.as_dict(), got_ctr.as_dict()
+                assert all(got_ops[k] <= want_ops[k] for k in want_ops), (
+                    c, rule, got_ops, want_ops)
                 applied += 1
                 changed += got != UNCHANGED
+                cheaper += got_ops["total"] < want_ops["total"]
                 move = rng.random()
                 if want_store[rule.vj] is None or move < 0.15:
                     store[:] = [random_domain(rng) for _ in range(nvars)]
@@ -291,8 +297,10 @@ class TestSharedResidue:
                     store = [random_domain(rng) for _ in range(nvars)]
                 elif move < 0.5:
                     store[rng.randrange(nvars)] = random_domain(rng)
-        # a test that seldom changes a domain would check little
+        # a test that seldom changes a domain, or whose rules seldom find
+        # a residue already summed, would check little
         assert applied > 10000 and changed > applied // 10
+        assert cheaper > applied // 10
 
 
 class TestMultRules:
