@@ -234,10 +234,8 @@ def mult(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval
 
 
 def mult_bounds(a0, a1, b0, b1):
-    """Uncounted closure of [a0..a1] * [b0..b1], ``None`` bounds infinite.
-
-    Exact for ``int`` and ``fractions.Fraction`` bounds alike.
-    """
+    """Uncounted closure of [a0..a1] * [b0..b1] over ``int`` bounds,
+    ``None`` bounds infinite: the unbounded path of :func:`mult`."""
     xa0 = -_INF if a0 is None else a0
     xa1 = _INF if a1 is None else a1
     xb0 = -_INF if b0 is None else b0
@@ -369,29 +367,60 @@ def _endpoint_div(a0, a1, c, d) -> Interval:
     return mk(None if lo == -_INF else lo, None if hi == _INF else hi)
 
 
-def _divides_some(m: int, a0: int, a1: int) -> bool:
-    # does some element of non-empty [a0..a1] have m > 0 as a divisor
-    return m * (a1 // m) >= a0
+def _least_divisor(m: int, hi: int, a0: int, a1: int):
+    # least value of [m..hi] dividing some member of [a0..a1], or None;
+    # everything positive.  On a block of values y where k = a1 // y is
+    # constant, y divides a member exactly when y * k >= a0, i.e. when
+    # y >= ceil(a0 / k): one step per block.
+    while m <= hi:
+        k = a1 // m
+        if k == 0:
+            return None
+        t = -(-a0 // k)
+        if t <= m:
+            return m
+        end = a1 // k
+        if t <= end:
+            return t if t <= hi else None
+        m = end + 1
+    return None
+
+
+def _greatest_divisor(lo: int, m: int, a0: int, a1: int):
+    # greatest value of [lo..m] dividing some member of [a0..a1], or None;
+    # everything positive.  Within a block of constant k = a1 // y the
+    # divisors are the block's upper part, so only its top is tested.
+    if m > a1:
+        m = a1
+    while m >= lo:
+        k = a1 // m
+        if m * k >= a0:
+            return m
+        m = a1 // (k + 1)
+    return None
 
 
 def _scan_divisors(c: int, d: int, a0: int, a1: int):
-    # least/greatest element of [c..d] dividing some member of [a0..a1];
-    # 0 is never in [c..d] here
-    lo = None
-    y = c
-    while y <= d:
-        if _divides_some(-y if y < 0 else y, a0, a1):
-            lo = y
-            break
-        y += 1
+    """Least and greatest y in [c..d] whose magnitude divides some member
+    of the zero-free [a0..a1]; ``None`` when there is none.
+
+    [c..d] is empty or lies on one side of 0.  Negating the numerator
+    range, or the denominator range, keeps the set of such magnitudes, so
+    both reduce to positive ranges.  There a block of values y sharing
+    ``a1 // y`` is decided in one step, so each end takes
+    O(sqrt(max |numerator|)) steps, not O(d - c).
+    """
+    if a1 < 0:
+        a0, a1 = -a1, -a0
+    if c > 0:
+        lo = _least_divisor(c, d, a0, a1)
+        if lo is None:
+            return None
+        return (lo, _greatest_divisor(lo, d, a0, a1))
+    lo = _least_divisor(-d, -c, a0, a1)
     if lo is None:
         return None
-    y = d
-    while y >= lo:
-        if _divides_some(-y if y < 0 else y, a0, a1):
-            return (lo, y)
-        y -= 1
-    return (lo, lo)
+    return (-_greatest_divisor(lo, -c, a0, a1), -lo)
 
 
 def _quotient(a, b, exact: bool) -> Interval:

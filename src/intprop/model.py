@@ -133,6 +133,21 @@ def _sum_terms(e: Expr) -> List[Tuple[int, Expr]]:
     return terms
 
 
+def _factors(e: Expr) -> List[Expr]:
+    """The factors of a chain of ``Mul`` nodes, leftmost first.
+
+    A product of n factors nests n levels deep along its left operands, as
+    a sum does, so this walks that spine in a loop too.
+    """
+    factors = []
+    while isinstance(e, Mul):
+        factors.append(e.right)
+        e = e.left
+    factors.append(e)
+    factors.reverse()
+    return factors
+
+
 def eval_expr(e: Expr, values) -> int:
     """Exact integer evaluation (no Div/Root)."""
     if isinstance(e, Var):
@@ -148,7 +163,10 @@ def eval_expr(e: Expr, values) -> int:
             total = total + value if sign > 0 else total - value
         return total
     if isinstance(e, Mul):
-        return eval_expr(e.left, values) * eval_expr(e.right, values)
+        product = 1
+        for factor in _factors(e):
+            product *= eval_expr(factor, values)
+        return product
     if isinstance(e, Pow):
         return eval_expr(e.arg, values) ** e.n
     raise TypeError("cannot evaluate %r exactly" % type(e).__name__)
@@ -251,10 +269,18 @@ def _poly_of(e: Expr) -> Dict[PowerProduct, int]:
                     out.pop(pp, None)
         return out
     if isinstance(e, Mul):
-        return _poly_mul(_poly_of(e.left), _poly_of(e.right))
+        factors = _factors(e)
+        out = _poly_of(factors[0])
+        for factor in factors[1:]:
+            out = _poly_mul(out, _poly_of(factor))
+        return out
     if isinstance(e, Pow):
         # surface sugar: a power is a repeated product
         base = _poly_of(e.arg)
+        if len(base) <= 1:
+            # a power of one monomial (or of 0) is one monomial
+            return {tuple((v, k * e.n) for v, k in pp): c ** e.n
+                    for pp, c in base.items()}
         out = base
         for _ in range(e.n - 1):
             out = _poly_mul(out, base)
@@ -425,6 +451,10 @@ _SYMBOLS = ("<=", ">=", "!=", "..", "<", ">", "=", ";", "^", "*", "+", "-",
             "(", ")", "[", "]")
 
 
+# parentheses and unary minuses nest at most this deep: the parser, the
+# normalizer and exact evaluation recurse once or a few times per level
+_MAX_NESTING = 100
+
 # only ASCII digits: str.isdigit also accepts superscripts and other
 # scripts' digits, which int() rejects or reads as their value
 _DIGITS = "0123456789"
@@ -484,6 +514,7 @@ class _Parser:
         self.pos = 0
         self.csp = CSP(names=[], domains=[], constraints=[])
         self.index: Dict[str, int] = {}
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -610,9 +641,19 @@ class _Parser:
 
     def factor(self) -> Expr:
         t = self.peek()
-        if t[0] == "sym" and t[1] == "-":
+        if t[0] == "sym" and t[1] in ("-", "("):
+            if self.depth == _MAX_NESTING:
+                self.error("parentheses and unary minuses nest deeper "
+                           "than %d" % _MAX_NESTING)
+            self.depth += 1
             self.next()
-            return Neg(self.factor())
+            if t[1] == "-":
+                e = Neg(self.factor())
+            else:
+                e = self.expr()
+                self.expect("sym", ")")
+            self.depth -= 1
+            return e
         if t[0] == "int":
             self.next()
             return Lit(t[1])
@@ -630,11 +671,6 @@ class _Parser:
                 if et[1] < 1:
                     raise ParseError("exponent must be >= 1", et[2], et[3])
                 e = Pow(e, et[1])
-            return e
-        if t[0] == "sym" and t[1] == "(":
-            self.next()
-            e = self.expr()
-            self.expect("sym", ")")
             return e
         raise ParseError("expected a factor", t[2], t[3])
 

@@ -1,9 +1,15 @@
 """Exact rational interval arithmetic for the simplified-fraction rules.
 
-A rational interval is ``None`` (empty) or a pair ``(lo, hi)`` where each
-bound is an ``int``/``fractions.Fraction`` or ``None`` for the infinities.
-Bounds stay exact: ``Fraction`` normalizes eagerly (gcd at construction),
-which keeps numerators and denominators small across long sums.
+A rational interval is ``None`` (empty) or a pair ``(lo, hi)`` of bounds.
+A bound is ``None`` for an infinity, or an integer pair ``(n, d)`` with
+``d > 0`` standing for n/d.  Pairs are never reduced: the rules sum a few
+quotients of integer intervals and round the sum once, so a gcd per
+operation would cost more than the growth of the integers it saves.
+
+:func:`q_div` takes two integer intervals, as evaluated monomials are, and
+returns a rational interval; :func:`q_add` adds rational intervals;
+:func:`q_of` makes an integer interval rational; :func:`q_to_interval` and
+:func:`q_to_halfline` round back to integers with floor division.
 
 Division follows extended real-interval division; when the exact quotient
 set is a union of two rays, the enclosing interval (all of R) is returned,
@@ -12,57 +18,87 @@ since callers immediately take a one-sided bound anyway.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
-from .intervals import (Interval, OpCounters, add, contains_zero, mk,
-                        mult_bounds)
+from .intervals import Interval, OpCounters, contains_zero, mk
 
-QBound = Optional[Union[int, Fraction]]
+QBound = Optional[Tuple[int, int]]
 QInterval = Optional[Tuple[QBound, QBound]]
 
 Q_ALL: QInterval = (None, None)
 
+_ZERO = (0, 1)
+
+
+def q_of(a: Interval) -> QInterval:
+    """An integer interval as a rational one (uncounted)."""
+    if a is None:
+        return None
+    lo, hi = a
+    return (None if lo is None else (lo, 1), None if hi is None else (hi, 1))
+
 
 def q_add(a: QInterval, b: QInterval, ctr: Optional[OpCounters] = None) -> QInterval:
-    """:func:`intervals.add` over rational bounds, counted as ``q_sum``."""
+    """Sum of two rational intervals, counted as ``q_sum``."""
     if ctr is not None:
         ctr.q_sum += 1
-    return add(a, b)
+    if a is None or b is None:
+        return None
+    return (_add_bounds(a[0], b[0]), _add_bounds(a[1], b[1]))
 
 
-def q_div(a: QInterval, b: QInterval, ctr: Optional[OpCounters] = None) -> QInterval:
-    """Smallest real interval containing {u | u*y = x, x in a, y in b}."""
+def _add_bounds(x: QBound, y: QBound) -> QBound:
+    if x is None or y is None:
+        return None
+    n, d = x
+    m, e = y
+    if d == e:
+        return (n + m, d)
+    return (n * e + m * d, d * e)
+
+
+def q_div(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> QInterval:
+    """Smallest real interval containing {u | u*y = x, x in a, y in b}.
+
+    ``a`` and ``b`` are integer intervals.  For a positive denominator the
+    sign of each numerator bound picks the denominator bound that makes it
+    extreme, so each result bound is one quotient.
+    """
     if ctr is not None:
         ctr.q_div += 1
     if a is None or b is None:
         return None
     a0, a1 = a
     b0, b1 = b
-    if not contains_zero(b):
-        if b0 is not None and b0 > 0:
-            recip = (0 if b1 is None else Fraction(1, 1) / b1,
-                     Fraction(1, 1) / b0)
+    if b1 is not None and b1 <= 0:
+        # x / y == (-x) / (-y): make the denominator non-negative
+        a0, a1 = (None if a1 is None else -a1), (None if a0 is None else -a0)
+        b0, b1 = -b1, (None if b0 is None else -b0)
+    if b0 is None or b0 < 0:
+        # the denominator straddles 0
+        return Q_ALL
+    if b0 > 0:
+        if a0 is None:
+            lo = None
+        elif a0 < 0:
+            lo = (a0, b0)
         else:
-            recip = (Fraction(1, 1) / b1,
-                     0 if b0 is None else Fraction(1, 1) / b0)
-        return mult_bounds(a0, a1, *recip)
+            lo = _ZERO if b1 is None else (a0, b1)
+        if a1 is None:
+            hi = None
+        elif a1 >= 0:
+            hi = (a1, b0)
+        else:
+            hi = _ZERO if b1 is None else (a1, b1)
+        return (lo, hi)
+    # den = [0 .. b1]
     if contains_zero(a):
         return Q_ALL
-    if b0 == 0 and b1 == 0:
+    if b1 == 0:
         return None
-    if (b0 is None or b0 < 0) and (b1 is None or b1 > 0):
-        return Q_ALL
-    num_pos = a0 is not None and a0 > 0
-    if b0 == 0:  # den = [0 .. b1], b1 > 0
-        if num_pos:
-            return (0 if b1 is None else Fraction(a0) / b1, None)
-        return (None, 0 if b1 is None else Fraction(a1) / b1)
-    # den = [b0 .. 0], b0 < 0
-    if num_pos:
-        return (None, 0 if b0 is None else Fraction(a0) / b0)
-    return (0 if b0 is None else Fraction(a1) / b0, None)
+    if a0 is not None and a0 > 0:
+        return (_ZERO if b1 is None else (a0, b1), None)
+    return (None, _ZERO if b1 is None else (a1, b1))
 
 
 def q_to_halfline(a: QInterval, side: str) -> Interval:
@@ -74,9 +110,9 @@ def q_to_halfline(a: QInterval, side: str) -> Interval:
         return None
     lo, hi = a
     if side == "le":
-        return (None, None) if hi is None else (None, math.floor(hi))
+        return (None, None) if hi is None else (None, hi[0] // hi[1])
     if side == "ge":
-        return (None, None) if lo is None else (math.ceil(lo), None)
+        return (None, None) if lo is None else (-(-lo[0] // lo[1]), None)
     raise ValueError("side must be 'le' or 'ge'")
 
 
@@ -85,5 +121,5 @@ def q_to_interval(a: QInterval) -> Interval:
     if a is None:
         return None
     lo, hi = a
-    return mk(None if lo is None else math.ceil(lo),
-              None if hi is None else math.floor(hi))
+    return mk(None if lo is None else -(-lo[0] // lo[1]),
+              None if hi is None else hi[0] // hi[1])

@@ -52,8 +52,10 @@ from .model import (
     Sub,
     TrivialConstraint,
     Var,
+    _factors,
+    _sum_terms,
 )
-from .rationals import q_add, q_div, q_to_halfline, q_to_interval
+from .rationals import q_add, q_div, q_of, q_to_halfline, q_to_interval
 
 UNCHANGED = -1
 
@@ -134,15 +136,19 @@ def eval_int(e: Expr, store: DomainStore,
         return (e.value, e.value)
     if isinstance(e, Neg):
         return iv.scale(eval_int(e.arg, store, ctr), -1, ctr)
-    if isinstance(e, Add):
-        return iv.add(eval_int(e.left, store, ctr),
-                      eval_int(e.right, store, ctr), ctr)
-    if isinstance(e, Sub):
-        return iv.sub(eval_int(e.left, store, ctr),
-                      eval_int(e.right, store, ctr), ctr)
+    if isinstance(e, (Add, Sub)):
+        terms = _sum_terms(e)
+        out = eval_int(terms[0][1], store, ctr)
+        for sign, term in terms[1:]:
+            t = eval_int(term, store, ctr)
+            out = iv.add(out, t, ctr) if sign > 0 else iv.sub(out, t, ctr)
+        return out
     if isinstance(e, Mul):
-        return iv.mult(eval_int(e.left, store, ctr),
-                       eval_int(e.right, store, ctr), ctr)
+        factors = _factors(e)
+        out = eval_int(factors[0], store, ctr)
+        for factor in factors[1:]:
+            out = iv.mult(out, eval_int(factor, store, ctr), ctr)
+        return out
     if isinstance(e, Pow):
         return iv.exp(eval_int(e.arg, store, ctr), e.n, ctr)
     if isinstance(e, Div):
@@ -496,10 +502,10 @@ class PolyRule(Rule):
                 den = eval_monomial(den_c, den_pp, store, ctr)
                 qt = q_div(num, den, ctr)
             else:
-                qt = num
+                qt = q_of(num)
             qsum = qt if qsum is None else q_add(qsum, qt, ctr)
         if qsum is None:
-            qsum = (0, 0)
+            qsum = q_of((0, 0))
         if self.op == "le":
             positive = self.s_coeff > 0
             for v, e in self.s_pp:

@@ -1,5 +1,7 @@
 import random
+import time
 
+from intprop import intervals
 from intprop.intervals import (
     ALL,
     OpCounters,
@@ -198,6 +200,77 @@ class TestDiv:
         assert div_halfline((None, -1), iv(0, 0)) is None
         # a bounded numerator gets the weak quotient
         assert div_halfline(iv(155, 161), iv(9, 11)) == (15, 17)
+
+
+def scan_divisors_oracle(c, d, a0, a1):
+    # the divisor snap as a linear scan: test each y of [c..d] in turn,
+    # from below for the least divisor and from above for the greatest
+    def divides_some(m):
+        return m * (a1 // m) >= a0
+
+    lo = None
+    y = c
+    while y <= d:
+        if divides_some(-y if y < 0 else y):
+            lo = y
+            break
+        y += 1
+    if lo is None:
+        return None
+    y = d
+    while y >= lo:
+        if divides_some(-y if y < 0 else y):
+            return (lo, y)
+        y -= 1
+    return (lo, lo)
+
+
+class TestDivisorSnap:
+    def test_matches_linear_scan_on_small_ranges(self):
+        r = range(-15, 16)
+        nums = [(a0, a1) for a0 in r for a1 in r
+                if a0 <= a1 and (a0 > 0 or a1 < 0)]
+        for c in r:
+            for d in range(c - 1, 16):
+                if c <= 0 <= d:
+                    continue
+                for a0, a1 in nums:
+                    assert (intervals._scan_divisors(c, d, a0, a1)
+                            == scan_divisors_oracle(c, d, a0, a1)), (c, d, a0, a1)
+
+    def test_matches_linear_scan_up_to_10_12(self):
+        # large magnitudes, denominator ranges short enough for the oracle
+        rng = random.Random(5)
+        for _ in range(3000):
+            a0 = rng.randint(1, 10 ** rng.randint(1, 12))
+            a1 = a0 + int(10 ** rng.uniform(0, rng.randint(0, 7)))
+            c = rng.randint(1, a1 + 10)
+            d = c + rng.randint(0, 1500)
+            if rng.random() < 0.5:
+                a0, a1 = -a1, -a0
+            if rng.random() < 0.5:
+                c, d = -d, -c
+            assert (intervals._scan_divisors(c, d, a0, a1)
+                    == scan_divisors_oracle(c, d, a0, a1)), (c, d, a0, a1)
+
+    def test_div_matches_linear_scan_on_grid(self, monkeypatch):
+        # div with the block snap against div with the linear scan, on
+        # every pair of intervals with bounds in [-9..9] or infinite
+        g = [None] + list(range(-9, 10))
+        ivs = [(lo, hi) for lo in g for hi in g
+               if lo is None or hi is None or lo <= hi] + [None]
+        got = [div(a, b) for a in ivs for b in ivs]
+        monkeypatch.setattr(intervals, "_scan_divisors", scan_divisors_oracle)
+        assert got == [div(a, b) for a in ivs for b in ivs]
+
+    def test_large_range_snaps_quickly(self):
+        # a linear scan takes seconds here, and minutes near 10**9
+        t0 = time.perf_counter()
+        assert div((10 ** 7 + 3,) * 2, (2, 10 ** 7)) == (13, 769231)
+        p = 10 ** 9 + 7     # prime: no divisor in [2..10**9]
+        assert div((p, p), (2, 10 ** 9)) is None
+        assert div((-p, -p), (-10 ** 9, -2)) is None
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestCounters:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from intprop import model
 from intprop.model import (
     CSP,
     Add,
@@ -198,6 +199,44 @@ class TestParser:
         assert sorted(sols) == [(0, 2), (1, 1), (2, 0)]
         assert all(verify_solution(csp, s) for s in sols)
         assert not verify_solution(csp, (1, 2))
+
+    def test_long_product_parses_solves_and_verifies(self):
+        # x * x * ... * x with 3000 factors nests 3000 levels deep
+        csp = parse("var x in [-3..3];\n"
+                    "constraint %s = 1; solve all;" % "*".join(["x"] * 3000))
+        assert csp.constraints[0].monomials == ((1, ((0, 3000),)),)
+        for variant in ("du", "fe"):
+            sols, _ = solve_all(csp, variant)
+            assert sorted(sols) == [(-1,), (1,)]
+            assert all(verify_solution(csp, s) for s in sols)
+        assert not verify_solution(csp, (2,))
+
+    @pytest.mark.parametrize("nest", [
+        lambda k: "(" * k + "x" + ")" * k,
+        lambda k: "-" * k + "x",
+        lambda k: "-(" * (k // 2) + "x" + ")" * (k // 2),
+    ])
+    def test_deep_nesting_is_a_parse_error(self, nest):
+        text = "var x in [-1..1];\nconstraint %s = 1;"
+        with pytest.raises(ParseError, match="nest deeper than 100"):
+            parse(text % nest(1200))
+        with pytest.raises(ParseError, match="nest deeper than 100"):
+            parse(text % nest(102))
+        c = parse(text % nest(100)).constraints[0]
+        assert c.monomials in (((1, ((0, 1),)),), ((-1, ((0, 1),)),))
+
+    def test_power_of_a_monomial_expands_in_one_step(self, monkeypatch):
+        products = []
+        real = model._poly_mul
+        monkeypatch.setattr(model, "_poly_mul",
+                            lambda a, b: products.append(1) or real(a, b))
+        csp = parse("var x in [0..1]; var y in [0..1];\n"
+                    "constraint x^200000 = 1; constraint 2*x*(y^3) = 2;")
+        assert csp.constraints[0].monomials == ((1, ((0, 200000),)),)
+        assert csp.constraints[1].monomials == ((2, ((0, 1), (1, 3))),)
+        assert len(products) == 2      # the two products of 2*x*y^3
+        n = normalize(Pow(Lit(-2), 5) + Pow(Lit(0), 10 ** 9), "=", Lit(0), 0)
+        assert n == TrivialConstraint(False)
 
     def test_comments_and_parens(self):
         csp = parse("""

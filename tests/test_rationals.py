@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,26 +9,34 @@ from intprop.rationals import (
     Q_ALL,
     q_add,
     q_div,
+    q_of,
     q_to_halfline,
     q_to_interval,
 )
 
 
+def fr(a):
+    """A rational interval with ``(n, d)`` bounds, as ``Fraction`` bounds."""
+    if a is None:
+        return None
+    return tuple(None if x is None else F(*x) for x in a)
+
+
 class TestQAdd:
     def test_endpoints(self):
-        assert q_add((F(1, 3), F(1, 2)), (F(1, 6), F(1, 6))) == (F(1, 2), F(2, 3))
-        assert q_add((0, 1), None) is None
-        assert q_add((None, 2), (1, 3)) == (None, 5)
+        assert fr(q_add(((1, 3), (1, 2)), ((1, 6), (1, 6)))) == (F(1, 2), F(2, 3))
+        assert q_add(((0, 1), (1, 1)), None) is None
+        assert fr(q_add((None, (2, 1)), ((1, 1), (3, 1)))) == (None, 5)
 
     def test_counted(self):
         c = OpCounters()
-        q_add((0, 1), (0, 1), c)
+        q_add(q_of((0, 1)), q_of((0, 1)), c)
         assert c.q_sum == 1 and c.total() == 1
 
 
 class TestQDiv:
     def test_positive_den(self):
-        assert q_div((40, 40), (1, 1000000)) == (F(1, 25000), 40)
+        assert fr(q_div((40, 40), (1, 1000000))) == (F(1, 25000), 40)
 
     def test_straddling_den_hulls_to_all_reals(self):
         assert q_div((8, 10), (-2, 5)) == Q_ALL
@@ -37,12 +46,12 @@ class TestQDiv:
         assert q_div((0, 2), (0, 0)) == Q_ALL
 
     def test_zero_endpoint_den(self):
-        assert q_div((1, 2), (0, 4)) == (F(1, 4), None)
-        assert q_div((-2, -1), (0, 4)) == (None, F(-1, 4))
-        assert q_div((1, 2), (-4, 0)) == (None, F(-1, 4))
+        assert fr(q_div((1, 2), (0, 4))) == (F(1, 4), None)
+        assert fr(q_div((-2, -1), (0, 4))) == (None, F(-1, 4))
+        assert fr(q_div((1, 2), (-4, 0))) == (None, F(-1, 4))
 
     def test_negative_den(self):
-        assert q_div((2, 6), (-3, -1)) == (-6, F(-2, 3))
+        assert fr(q_div((2, 6), (-3, -1))) == (-6, F(-2, 3))
 
     def test_counted(self):
         c = OpCounters()
@@ -52,21 +61,21 @@ class TestQDiv:
 
 class TestHalfline:
     def test_le(self):
-        assert q_to_halfline((F(1, 3), F(131, 3)), "le") == (None, 43)
-        assert q_to_halfline((5, 41), "le") == (None, 41)
-        assert q_to_halfline((1, None), "le") == (None, None)
+        assert q_to_halfline(((1, 3), (131, 3)), "le") == (None, 43)
+        assert q_to_halfline(((5, 1), (41, 1)), "le") == (None, 41)
+        assert q_to_halfline(((1, 1), None), "le") == (None, None)
 
     def test_ge(self):
-        assert q_to_halfline((None, 0), "ge") == (None, None)
-        assert q_to_halfline((F(7, 2), 9), "ge") == (4, None)
+        assert q_to_halfline((None, (0, 1)), "ge") == (None, None)
+        assert q_to_halfline(((7, 2), (9, 1)), "ge") == (4, None)
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
-            q_to_halfline((0, 1), "lt")
+            q_to_halfline(((0, 1), (1, 1)), "lt")
 
     def test_to_interval(self):
-        assert q_to_interval((F(1, 3), F(10, 3))) == (1, 3)
-        assert q_to_interval((F(5, 2), F(5, 2))) is None
+        assert q_to_interval(((1, 3), (10, 3))) == (1, 3)
+        assert q_to_interval(((5, 2), (5, 2))) is None
         assert q_to_interval(None) is None
 
 
@@ -77,7 +86,7 @@ class TestExactness:
             p = rng.randint(-50, 50)
             q = rng.randint(1, 50)
             f = F(p, q)
-            assert f * q == p
+            assert fr(q_div((p, p), (q, q))) == (f, f)
 
     def test_agrees_with_integer_division_on_singleton_dens(self):
         rng = random.Random(2)
@@ -87,3 +96,137 @@ class TestExactness:
             got = q_to_interval(q_div((a[0], a[1]), (k, k)))
             want = div((a[0], a[1]), (k, k))
             assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: the rational arithmetic as it was before bounds became
+# unreduced integer pairs (``Fraction`` bounds, reciprocals and products)
+
+def _xmul(x, y):
+    if x == 0 or y == 0:
+        return 0
+    if isinstance(x, float) or isinstance(y, float):
+        return math.inf if (x > 0) == (y > 0) else -math.inf
+    return x * y
+
+
+def _mult_bounds(a0, a1, b0, b1):
+    xa0 = -math.inf if a0 is None else a0
+    xa1 = math.inf if a1 is None else a1
+    xb0 = -math.inf if b0 is None else b0
+    xb1 = math.inf if b1 is None else b1
+    cands = (_xmul(xa0, xb0), _xmul(xa0, xb1), _xmul(xa1, xb0),
+             _xmul(xa1, xb1))
+    lo = min(cands)
+    hi = max(cands)
+    return (None if lo == -math.inf else lo, None if hi == math.inf else hi)
+
+
+def _contains_zero(a):
+    lo, hi = a
+    return (lo is None or lo <= 0) and (hi is None or hi >= 0)
+
+
+def q_add_oracle(a, b):
+    if a is None or b is None:
+        return None
+    a0, a1 = a
+    b0, b1 = b
+    return (None if a0 is None or b0 is None else a0 + b0,
+            None if a1 is None or b1 is None else a1 + b1)
+
+
+def q_div_oracle(a, b):
+    if a is None or b is None:
+        return None
+    a0, a1 = a
+    b0, b1 = b
+    if not _contains_zero(b):
+        if b0 is not None and b0 > 0:
+            recip = (0 if b1 is None else F(1, 1) / b1, F(1, 1) / b0)
+        else:
+            recip = (F(1, 1) / b1, 0 if b0 is None else F(1, 1) / b0)
+        return _mult_bounds(a0, a1, *recip)
+    if _contains_zero(a):
+        return (None, None)
+    if b0 == 0 and b1 == 0:
+        return None
+    if (b0 is None or b0 < 0) and (b1 is None or b1 > 0):
+        return (None, None)
+    num_pos = a0 is not None and a0 > 0
+    if b0 == 0:
+        if num_pos:
+            return (0 if b1 is None else F(a0) / b1, None)
+        return (None, 0 if b1 is None else F(a1) / b1)
+    if num_pos:
+        return (None, 0 if b0 is None else F(a0) / b0)
+    return (0 if b0 is None else F(a1) / b0, None)
+
+
+def q_to_halfline_oracle(a, side):
+    if a is None:
+        return None
+    lo, hi = a
+    if side == "le":
+        return (None, None) if hi is None else (None, math.floor(hi))
+    return (None, None) if lo is None else (math.ceil(lo), None)
+
+
+def q_to_interval_oracle(a):
+    if a is None:
+        return None
+    lo, hi = a
+    lo = None if lo is None else math.ceil(lo)
+    hi = None if hi is None else math.floor(hi)
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return (lo, hi)
+
+
+GRID = [None] + list(range(-9, 10))
+GRID_INTERVALS = [(lo, hi) for lo in GRID for hi in GRID
+                  if lo is None or hi is None or lo <= hi]
+
+
+def random_pair_interval(rng):
+    # unreduced (n, d) bounds, crossed bounds allowed
+    return tuple(None if rng.random() < 0.2
+                 else (rng.randint(-40, 40), rng.randint(1, 12))
+                 for _ in range(2))
+
+
+class TestAgainstFractionOracles:
+    def test_q_div_on_grid(self):
+        for a in GRID_INTERVALS + [None]:
+            for b in GRID_INTERVALS + [None]:
+                got = q_div(a, b)
+                assert fr(got) == q_div_oracle(a, b), (a, b)
+                for x in got or ():
+                    assert x is None or x[1] > 0
+
+    def test_q_add_on_grid(self):
+        qs = [q_of(a) for a in GRID_INTERVALS] + [None]
+        for a in qs:
+            for b in qs:
+                assert fr(q_add(a, b)) == q_add_oracle(fr(a), fr(b)), (a, b)
+
+    def test_q_add_on_unreduced_pairs(self):
+        rng = random.Random(3)
+        for _ in range(5000):
+            a = random_pair_interval(rng)
+            b = random_pair_interval(rng)
+            assert fr(q_add(a, b)) == q_add_oracle(fr(a), fr(b)), (a, b)
+
+    def test_rounding_on_grid(self):
+        bounds = [None] + [(n, d) for n in range(-9, 10) for d in range(1, 5)]
+        for lo in bounds:
+            for hi in bounds:
+                a = (lo, hi)
+                assert q_to_interval(a) == q_to_interval_oracle(fr(a)), a
+                for side in ("le", "ge"):
+                    assert (q_to_halfline(a, side)
+                            == q_to_halfline_oracle(fr(a), side)), (a, side)
+
+    def test_q_of(self):
+        for a in GRID_INTERVALS + [None]:
+            assert fr(q_of(a)) == a

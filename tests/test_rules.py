@@ -65,6 +65,22 @@ class TestEvalInt:
         eval_int(Mul(Pow(Var(0), 3), Var(1)), [(1, 5), (1, 100)], c)
         assert c.exp == 1 and c.multI == 1
 
+    def test_long_chains_do_not_recurse(self):
+        # 3000-deep left spines of products and of sums and differences
+        x, y = Var(0), Var(1)
+        prod = x
+        total = x
+        for i in range(2999):
+            prod = prod * x
+            total = total + y if i % 2 else total - y
+        store = [(-1, 2), (1, 3)]
+        c = OpCounters()
+        assert eval_int(prod, store, c) == (-2 ** 2999, 2 ** 3000)
+        assert c.multI == 2999
+        assert eval_int(total, store, c) == (-1 - 1500 * 3 + 1499 * 1,
+                                             2 - 1500 * 1 + 1499 * 3)
+        assert c.sum == 2999
+
 
 class TestLinearRules:
     def test_equality_reduction(self):
