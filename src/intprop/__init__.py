@@ -4,7 +4,6 @@ from .intervals import ALL, EMPTY, Interval, OpCounters
 from .model import (
     CSP,
     Add,
-    Div,
     Expr,
     Lit,
     Mul,
@@ -14,15 +13,14 @@ from .model import (
     PolynomialConstraint,
     Pow,
     PowerAtom,
-    Root,
     Sub,
     TrivialConstraint,
     Var,
     normalize,
     parse,
 )
-from .rules import build_rules, eval_int, is_bounds_consistent
-from .decompose import DecomposedCSP, compute_aux_domains, decompose, VARIANTS
+from .rules import build_rules
+from .decompose import DecomposedCSP, decompose, VARIANTS
 from .engine import FIXPOINT, PropagationLimit, Solver
 from .search import (
     Infeasible,
@@ -35,14 +33,13 @@ from .search import (
 
 __all__ = [
     "ALL", "EMPTY", "Interval", "OpCounters",
-    "CSP", "Add", "Div", "Expr", "Lit", "Mul", "MultAtom", "Neg",
-    "ParseError", "PolynomialConstraint", "Pow", "PowerAtom", "Root", "Sub",
-    "TrivialConstraint", "Var", "normalize", "parse",
-    "build_rules", "eval_int", "is_bounds_consistent",
-    "DecomposedCSP", "compute_aux_domains", "decompose", "VARIANTS",
+    "CSP", "Add", "Expr", "Lit", "Mul", "MultAtom", "Neg",
+    "ParseError", "PolynomialConstraint", "Pow", "PowerAtom", "Sub",
+    "TrivialConstraint", "Var", "normalize", "parse", "build_rules",
+    "DecomposedCSP", "decompose", "VARIANTS",
     "FIXPOINT", "PropagationLimit", "Solver",
     "Infeasible", "SearchStats", "UnboundedAfterPropagation",
     "maximize", "solve_all", "verify_solution",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -10,8 +10,8 @@ Examples::
 Exit status: 0 on success, also when ``--max-nodes`` truncated a search
 (a warning goes to stderr); 1 when a complete search proves that the
 problem to maximize has no solution; 2 on usage or input errors: bad
-options, an unreadable or malformed problem, a variable that stays
-unbounded, or a propagation that exceeds its step limit.
+options, an unreadable, malformed or oversized problem, a variable that
+stays unbounded, or a propagation that exceeds its step limit.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         except Infeasible:
             print("infeasible: no solution exists", file=sys.stderr)
             return 1
-        except (UnboundedAfterPropagation, PropagationLimit) as e:
+        except (UnboundedAfterPropagation, PropagationLimit,
+                ValueError) as e:
             print("intprop: %s" % e, file=sys.stderr)
             return 2
         if not stats.complete:

@@ -41,6 +41,7 @@ from .model import (
     PowerAtom,
     PowerProduct,
     TrivialConstraint,
+    _pp_key,
 )
 from .rules import Rule, build_rules, eval_monomial, readers_index
 
@@ -78,9 +79,6 @@ class DecomposedCSP:
     schedule: List[int]
     branch_order: List[int]
     infeasible: bool = False
-
-    def user_constraints(self):
-        return self.constraints[len(self.aux_defs):]
 
 
 def _nonlinear(pp: PowerProduct) -> bool:
@@ -143,7 +141,6 @@ class _PartialRewriter(_AuxSpace):
 class _FullRewriter(_AuxSpace):
     def __init__(self, names, domains, n_user: int, variant: str):
         super().__init__(names, domains)
-        self.n_user = n_user
         self.variant = variant
         # power product (over user variables) -> variable holding its value
         self.available: Dict[PowerProduct, int] = {}
@@ -151,12 +148,6 @@ class _FullRewriter(_AuxSpace):
         for v in range(n_user):
             self.available[((v, 1),)] = v
             self.pp_of[v] = ((v, 1),)
-
-    def _vec(self, pp: PowerProduct):
-        out = [0] * self.n_user
-        for v, e in pp:
-            out[v] = e
-        return tuple(out)
 
     def _register(self, pp: PowerProduct, kind: str, args) -> int:
         u = self.new_var()
@@ -241,7 +232,7 @@ class _FullRewriter(_AuxSpace):
         for res, (kind, args) in cands.items():
             key = (sum(e for _, e in res), kind == "pow")
             if best is None or key > best_key or \
-                    (key == best_key and self._vec(res) < self._vec(best)):
+                    (key == best_key and _pp_key(res) > _pp_key(best)):
                 best, best_key = res, key
         if best is None:
             raise AssertionError("no way to grow towards %r" % (target,))

@@ -18,13 +18,14 @@ snaps the denominator's bounds to divisors of the numerator before the
 endpoint formula, :func:`div_weak` does not.
 
 Every arithmetic operation optionally takes an :class:`OpCounters` sink and
-bumps exactly one category; intersection and interior are not counted.
+bumps exactly one category; the lattice operations (intersection, span,
+negation) are not counted.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 Bound = Optional[int]
 Interval = Optional[Tuple[Bound, Bound]]
@@ -66,42 +67,11 @@ def mk(lo: Bound, hi: Bound) -> Interval:
     return (lo, hi)
 
 
-def contains(a: Interval, x: int) -> bool:
-    if a is None:
-        return False
-    lo, hi = a
-    return (lo is None or lo <= x) and (hi is None or x <= hi)
-
-
 def contains_zero(a: Interval) -> bool:
     if a is None:
         return False
     lo, hi = a
     return (lo is None or lo <= 0) and (hi is None or hi >= 0)
-
-
-def kind(a: Interval) -> str:
-    """One of 'empty', 'bounded', 'left_bounded', 'right_bounded', 'unbounded'."""
-    if a is None:
-        return "empty"
-    lo, hi = a
-    if lo is None and hi is None:
-        return "unbounded"
-    if lo is None:
-        return "right_bounded"
-    if hi is None:
-        return "left_bounded"
-    return "bounded"
-
-
-def iter_values(a: Interval) -> Iterable[int]:
-    """Iterate the members of a bounded interval (test/oracle helper)."""
-    if a is None:
-        return
-    lo, hi = a
-    if lo is None or hi is None:
-        raise ValueError("cannot enumerate an unbounded interval")
-    yield from range(lo, hi + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -130,34 +100,6 @@ def span(a: Interval, b: Interval) -> Interval:
     lo = None if a0 is None or b0 is None else (a0 if a0 <= b0 else b0)
     hi = None if a1 is None or b1 is None else (a1 if a1 >= b1 else b1)
     return (lo, hi)
-
-
-def issubset(a: Interval, b: Interval) -> bool:
-    if a is None:
-        return True
-    if b is None:
-        return False
-    a0, a1 = a
-    b0, b1 = b
-    lo_ok = b0 is None or (a0 is not None and a0 >= b0)
-    hi_ok = b1 is None or (a1 is not None and a1 <= b1)
-    return lo_ok and hi_ok
-
-
-def hull(values: Iterable[int]) -> Interval:
-    """Smallest interval containing a finite set of integers."""
-    vs = list(values)
-    if not vs:
-        return None
-    return (min(vs), max(vs))
-
-
-def interior(a: Interval) -> Interval:
-    """Strip one unit from each finite bound."""
-    if a is None:
-        return None
-    lo, hi = a
-    return mk(None if lo is None else lo + 1, None if hi is None else hi - 1)
 
 
 def negate(a: Interval) -> Interval:
@@ -230,12 +172,6 @@ def mult(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval
         r = a1 * b0
         s = a1 * b1
         return (min(p, q, r, s), max(p, q, r, s))
-    return mult_bounds(a0, a1, b0, b1)
-
-
-def mult_bounds(a0, a1, b0, b1):
-    """Uncounted closure of [a0..a1] * [b0..b1] over ``int`` bounds,
-    ``None`` bounds infinite: the unbounded path of :func:`mult`."""
     xa0 = -_INF if a0 is None else a0
     xa1 = _INF if a1 is None else a1
     xb0 = -_INF if b0 is None else b0

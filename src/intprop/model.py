@@ -5,15 +5,25 @@ repeated product).  Normalization expands everything, collects like terms
 under the global variable order (declaration order), moves the constant to
 the right-hand side, and eliminates strict comparisons using integrality.
 The result is ``sum of monomials  op  integer`` with ``op`` one of =, <=, !=.
+A product or power may expand to at most ``MAX_MONOMIALS`` monomials.  There
+are no division or root nodes: the rules call the interval kernels directly.
 
-Extended expressions (with /, roots and explicit powers) never appear in
-parsed problems; they exist for interval evaluation inside reduction rules
-and for test oracles.
+A problem file (:func:`parse`) holds statements ending in ``;``, and ``#``
+starts a comment that runs to the end of the line::
+
+    var NAME in [INT..INT];     var NAME in Z;     (INT may be negative)
+    constraint EXPR CMP EXPR;   CMP is one of  =  !=  <  <=  >  >=
+    solve all;   or   maximize EXPR;      (at most one goal; default: all)
+
+EXPR is made of integers (ASCII digits), variables declared earlier, binary
+``+ - *``, unary ``-`` and parentheses (at most 100 deep).  ``^`` may only
+follow a variable: ``x^3`` is ``x*x*x``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -92,28 +102,12 @@ class Mul(_Bin):
     __slots__ = ()
 
 
-class Div(_Bin):
-    """Extended form only; not part of the user constraint language."""
-    __slots__ = ()
-
-
 class Pow(Expr):
     __slots__ = ("arg", "n")
 
     def __init__(self, arg: Expr, n: int):
         if n < 1:
             raise ValueError("exponent must be >= 1")
-        self.arg = arg
-        self.n = n
-
-
-class Root(Expr):
-    """Extended form only."""
-    __slots__ = ("arg", "n")
-
-    def __init__(self, arg: Expr, n: int):
-        if n < 1:
-            raise ValueError("root degree must be >= 1")
         self.arg = arg
         self.n = n
 
@@ -149,7 +143,7 @@ def _factors(e: Expr) -> List[Expr]:
 
 
 def eval_expr(e: Expr, values) -> int:
-    """Exact integer evaluation (no Div/Root)."""
+    """Exact integer value of an expression under a full assignment."""
     if isinstance(e, Var):
         return values[e.id]
     if isinstance(e, Lit):
@@ -175,14 +169,14 @@ def eval_expr(e: Expr, values) -> int:
 # ---------------------------------------------------------------------------
 # constraints
 
-_COMPARE = {
-    "=": lambda a, b: a == b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "!=": lambda a, b: a != b,
-}
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+# comparison -> (canonical op, whether to negate, bound shift): over the
+# integers a < b is a - b <= -1, and a > b is b - a <= -1
+_CANONICAL = {"=": ("eq", False, 0), "!=": ("ne", False, 0),
+              "<=": ("le", False, 0), "<": ("le", False, 1),
+              ">=": ("le", True, 0), ">": ("le", True, 1)}
 
 
 @dataclass(frozen=True)
@@ -202,24 +196,6 @@ class PolynomialConstraint:
 
     def is_linear(self) -> bool:
         return all(len(pp) == 1 and pp[0][1] == 1 for _, pp in self.monomials)
-
-    def render(self, names=None) -> str:
-        def nm(v):
-            return names[v] if names else "x%d" % v
-
-        sym = {"eq": "=", "le": "<=", "ne": "!="}[self.op]
-        parts = []
-        for i, (c, pp) in enumerate(self.monomials):
-            fs = ["%s^%d" % (nm(v), e) if e > 1 else nm(v) for v, e in pp]
-            mag = abs(c)
-            body = "*".join(fs)
-            if mag != 1:
-                body = "%d*%s" % (mag, body)
-            if i == 0:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return "%s %s %d" % (" ".join(parts), sym, self.rhs)
 
 
 @dataclass(frozen=True)
@@ -281,6 +257,10 @@ def _poly_of(e: Expr) -> Dict[PowerProduct, int]:
             # a power of one monomial (or of 0) is one monomial
             return {tuple((v, k * e.n) for v, k in pp): c ** e.n
                     for pp, c in base.items()}
+        if e.n >= MAX_MONOMIALS:
+            # base**n has over n monomials: x_i = z**w_i (fast-growing w_i)
+            # gives it a root z != 0 of multiplicity n; see Hajos' lemma
+            raise ValueError(_TOO_MANY)
         out = base
         for _ in range(e.n - 1):
             out = _poly_mul(out, base)
@@ -296,6 +276,12 @@ def _pp_mul(p: PowerProduct, q: PowerProduct) -> PowerProduct:
     return tuple(sorted(d.items()))
 
 
+# the most monomials an expansion may reach, also part way through a
+# product: uncapped, a product of k sums can grow exponentially in k
+MAX_MONOMIALS = 10_000
+_TOO_MANY = "the expansion has more than %d monomials" % MAX_MONOMIALS
+
+
 def _poly_mul(a, b):
     out: Dict[PowerProduct, int] = {}
     for pa, ca in a.items():
@@ -306,6 +292,8 @@ def _poly_mul(a, b):
                 out[pp] = nc
             else:
                 out.pop(pp, None)
+        if len(out) > MAX_MONOMIALS:
+            raise ValueError(_TOO_MANY)
     return out
 
 
@@ -321,63 +309,26 @@ def _pp_key(pp: PowerProduct):
     return tuple((v, -e) for v, e in pp) + ((math.inf,),)
 
 
-def normalize(lhs: Expr, op: str, rhs: Expr, nvars: int) -> Constraint:
+def normalize(lhs: Expr, op: str, rhs: Expr) -> Constraint:
     """Rewrite `lhs op rhs` into canonical polynomial-constraint form.
 
-    ``nvars`` is the number of variables; the canonical monomial order
-    does not depend on it.
+    Raises ``ValueError`` when a product or power expands to more than
+    :data:`MAX_MONOMIALS` monomials.
     """
     if op not in _COMPARE:
         raise ValueError("unknown comparison %r" % op)
     origin = (lhs, op, rhs)
     diff = _poly_of(Sub(lhs, rhs))
     const = diff.pop((), 0)
-    b = -const
-    neg = False
-    if op == "<":
-        op, b = "le", b - 1
-    elif op == ">":
-        op, b, neg = "le", -b - 1, True
-    elif op == ">=":
-        op, b, neg = "le", -b, True
-    elif op == "=":
-        op = "eq"
-    elif op == "!=":
-        op = "ne"
-    else:
-        op = "le"
-    if neg:
-        diff = {pp: -c for pp, c in diff.items()}
     if not diff:
-        if op == "eq":
-            sat = b == 0
-        elif op == "le":
-            sat = 0 <= b
-        else:
-            sat = b != 0
-        return TrivialConstraint(sat, origin=origin)
+        return TrivialConstraint(_COMPARE[op](const, 0), origin=origin)
+    op, negate, shift = _CANONICAL[op]
+    if negate:
+        diff = {pp: -c for pp, c in diff.items()}
+        const = -const
     mons = sorted(diff.items(), key=lambda it: _pp_key(it[0]))
-    return PolynomialConstraint(tuple((c, pp) for pp, c in mons), op, b,
-                                origin=origin)
-
-
-def constraint_to_exprs(c: PolynomialConstraint) -> Tuple[Expr, str, Expr]:
-    """Render the canonical form back into expression trees."""
-    total: Optional[Expr] = None
-    for coeff, pp in c.monomials:
-        term: Optional[Expr] = None
-        for v, e in pp:
-            f: Expr = Var(v)
-            for _ in range(e - 1):
-                f = Mul(f, Var(v))
-            term = f if term is None else Mul(term, f)
-        if abs(coeff) != 1:
-            term = Mul(Lit(abs(coeff)), term)
-        if coeff < 0:
-            term = Neg(term)
-        total = term if total is None else Add(total, term)
-    sym = {"eq": "=", "le": "<=", "ne": "!="}[c.op]
-    return (total, sym, Lit(c.rhs))
+    return PolynomialConstraint(tuple((c, pp) for pp, c in mons), op,
+                                -const - shift, origin=origin)
 
 
 def check_origin(c: Constraint, values) -> bool:
@@ -424,17 +375,13 @@ class CSP:
     def var(self, name: str) -> int:
         return self.names.index(name)
 
-    @property
-    def nvars(self) -> int:
-        return len(self.names)
-
     def add_var(self, name: str, domain: Interval) -> int:
         self.names.append(name)
         self.domains.append(domain)
         return len(self.names) - 1
 
     def add_constraint(self, lhs: Expr, op: str, rhs: Expr) -> None:
-        self.constraints.append(normalize(lhs, op, rhs, self.nvars))
+        self.constraints.append(normalize(lhs, op, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +541,7 @@ class _Parser:
         return -t[1] if neg else t[1]
 
     def constraint(self):
-        self.expect("ident", "constraint")
+        start = self.expect("ident", "constraint")
         lhs = self.expr()
         t = self.next()
         if t[0] != "sym" or t[1] not in ("<", "<=", "=", "!=", ">=", ">"):
@@ -602,11 +549,10 @@ class _Parser:
         op = t[1]
         rhs = self.expr()
         self.expect("sym", ";")
-        # monomial order only compares exponents of variables already
-        # declared, so normalizing now is safe even if more declarations
-        # follow
-        self.csp.constraints.append(
-            normalize(lhs, op, rhs, self.csp.nvars))
+        try:
+            self.csp.constraints.append(normalize(lhs, op, rhs))
+        except ValueError as e:
+            raise ParseError(str(e), start[2], start[3]) from None
 
     def goal(self):
         t = self.next()
@@ -676,5 +622,5 @@ class _Parser:
 
 
 def parse(text: str) -> CSP:
-    """Parse a problem file into a CSP (see the README for the grammar)."""
+    """Parse a problem file into a CSP (grammar in the module docstring)."""
     return _Parser(text).parse()

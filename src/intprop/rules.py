@@ -37,23 +37,11 @@ from typing import List, Optional, Sequence, Tuple
 from . import intervals as iv
 from .intervals import Interval, OpCounters
 from .model import (
-    Add,
-    Div,
-    Expr,
-    Lit,
-    Mul,
     MultAtom,
-    Neg,
     PolynomialConstraint,
-    Pow,
     PowerAtom,
     PowerProduct,
-    Root,
-    Sub,
     TrivialConstraint,
-    Var,
-    _factors,
-    _sum_terms,
 )
 from .rationals import q_add, q_div, q_of, q_to_halfline, q_to_interval
 
@@ -120,47 +108,6 @@ def eval_monomial(coeff: int, pp: PowerProduct, store: DomainStore,
         g = store[v] if e == 1 else iv.exp(store[v], e, ctr)
         f = iv.mult(f, g, ctr)
     return iv.scale(f, coeff, ctr)
-
-
-def eval_int(e: Expr, store: DomainStore,
-             ctr: Optional[OpCounters] = None) -> Interval:
-    """Interval evaluation of an extended expression.
-
-    Each operator maps to the closure of the matching integer-set
-    operation; root unions are closed into one interval here because an
-    expression value must be a single interval.
-    """
-    if isinstance(e, Var):
-        return store[e.id]
-    if isinstance(e, Lit):
-        return (e.value, e.value)
-    if isinstance(e, Neg):
-        return iv.scale(eval_int(e.arg, store, ctr), -1, ctr)
-    if isinstance(e, (Add, Sub)):
-        terms = _sum_terms(e)
-        out = eval_int(terms[0][1], store, ctr)
-        for sign, term in terms[1:]:
-            t = eval_int(term, store, ctr)
-            out = iv.add(out, t, ctr) if sign > 0 else iv.sub(out, t, ctr)
-        return out
-    if isinstance(e, Mul):
-        factors = _factors(e)
-        out = eval_int(factors[0], store, ctr)
-        for factor in factors[1:]:
-            out = iv.mult(out, eval_int(factor, store, ctr), ctr)
-        return out
-    if isinstance(e, Pow):
-        return iv.exp(eval_int(e.arg, store, ctr), e.n, ctr)
-    if isinstance(e, Div):
-        return iv.div(eval_int(e.left, store, ctr),
-                      eval_int(e.right, store, ctr), ctr)
-    if isinstance(e, Root):
-        parts = iv.root(eval_int(e.arg, store, ctr), e.n, ctr)
-        out = None
-        for p in parts:
-            out = iv.span(out, p)
-        return out
-    raise TypeError("cannot evaluate %r" % type(e).__name__)
 
 
 class Rule:
@@ -770,33 +717,3 @@ def readers_index(rules: Sequence[Rule], nvars: int) -> List[List[int]]:
         for v in r.reads:
             readers[v].append(i)
     return readers
-
-
-def is_bounds_consistent(store: DomainStore, x: int, y: int, z: int) -> bool:
-    """Real-relaxation endpoint support check for `x*y = z`.
-
-    Every bound of each domain must extend to a real solution with the
-    other two variables inside their domains' real hulls.  Decided exactly
-    with integer endpoint products.
-    """
-    lx, hx = store[x]
-    ly, hy = store[y]
-    lz, hz = store[z]
-
-    def x_ok(a):
-        p, q = a * ly, a * hy
-        if p > q:
-            p, q = q, p
-        return p <= hz and lz <= q
-
-    def y_ok(b):
-        p, q = b * lx, b * hx
-        if p > q:
-            p, q = q, p
-        return p <= hz and lz <= q
-
-    ps = (lx * ly, lx * hy, hx * ly, hx * hy)
-    lo, hi = min(ps), max(ps)
-
-    return (x_ok(lx) and x_ok(hx) and y_ok(ly) and y_ok(hy)
-            and lo <= lz <= hi and lo <= hz <= hi)

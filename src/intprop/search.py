@@ -216,8 +216,7 @@ def maximize(csp: CSP, objective: Optional[Expr] = None,
     work = CSP(names=list(csp.names), domains=list(csp.domains),
                constraints=list(csp.constraints))
     obj_var = work.add_var("_objective", (None, None))
-    work.constraints.append(
-        normalize(Var(obj_var), "=", objective, work.nvars))
+    work.constraints.append(normalize(Var(obj_var), "=", objective))
     dec = decompose(work, variant, division, branch_exclude=(obj_var,))
     best: Optional[Assignment] = None
 

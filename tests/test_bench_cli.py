@@ -118,6 +118,21 @@ class TestCli:
         assert code == 2
         assert "line" in err
 
+    def test_oversized_expansion_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "big.csp"
+        names = ["a%d" % i for i in range(10)]
+        p.write_text("".join("var %s in [0..1]; " % a for a in names)
+                     + "\nconstraint %s = 1;"
+                     % "*".join(["(%s)" % " + ".join(names)] * 20))
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
+        assert code == 2
+        assert "line 2, col 1" in err and "10000 monomials" in err
+        p.write_text(p.read_text().replace("constraint", "maximize")
+                     .replace(" = 1;", ";"))
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
+        assert code == 2
+        assert "10000 monomials" in err
+
     def test_infeasible_maximize_exit_code(self, tmp_path, capsys):
         p = tmp_path / "inf.csp"
         p.write_text("var x in [1..5]; constraint x^2 = 3; maximize x;")

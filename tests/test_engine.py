@@ -70,8 +70,8 @@ class TestPropagate:
                 a, b = sorted(rng.randint(-6, 6) for _ in range(2))
                 doms.append((a, b))
             e = Mul(Var(0), Var(1))
-            c1 = normalize(e, "=", Var(2), nv)
-            c2 = normalize(Var(0) + Var(1), "<=", Lit(rng.randint(-3, 6)), nv)
+            c1 = normalize(e, "=", Var(2))
+            c2 = normalize(Var(0) + Var(1), "<=", Lit(rng.randint(-3, 6)))
             csp = CSP(names=["x", "y", "z"], domains=doms,
                       constraints=[c1, c2])
             for variant in ("du", "pu", "fm"):

@@ -7,19 +7,13 @@ from intprop.intervals import (
     OpCounters,
     add,
     ceil_root,
-    contains,
     div,
     div_halfline,
     div_scalar,
     div_weak,
     exp,
     floor_root,
-    hull,
-    interior,
     intersect,
-    issubset,
-    iter_values,
-    kind,
     mk,
     mult,
     root,
@@ -27,6 +21,8 @@ from intprop.intervals import (
     span,
     sub,
 )
+
+from interval_sets import contains, hull, issubset, iter_values
 
 B = (None, None)
 
@@ -41,13 +37,6 @@ class TestBasics:
         assert mk(2, 2) == (2, 2)
         assert mk(None, 5) == (None, 5)
 
-    def test_kind(self):
-        assert kind(None) == "empty"
-        assert kind((1, 2)) == "bounded"
-        assert kind((1, None)) == "left_bounded"
-        assert kind((None, 2)) == "right_bounded"
-        assert kind(ALL) == "unbounded"
-
     def test_intersect(self):
         assert intersect(iv(1, 20), iv(16, 16)) == (16, 16)
         assert intersect(iv(1, 5), None) is None
@@ -59,10 +48,6 @@ class TestBasics:
         assert hull({3, 6}) == (3, 6)
         assert hull(set()) is None
         assert hull({5}) == (5, 5)
-        assert interior(iv(-2, 1)) == (-1, 0)
-        assert interior(iv(3, 3)) is None
-        assert interior(iv(0, 5)) == (1, 4)
-        assert interior((None, 5)) == (None, 4)
         assert span(iv(1, 2), iv(5, 9)) == (1, 9)
         assert span(None, iv(1, 2)) == (1, 2)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -18,16 +19,46 @@ from intprop.model import (
     Var,
     check_assignment,
     check_origin,
-    constraint_to_exprs,
     eval_expr,
     normalize,
     parse,
 )
-from intprop.search import solve_all, verify_solution
+from intprop.search import maximize, solve_all, verify_solution
 
 
-def mono_strs(c, names):
-    return c.render(names)
+def render(c, names):
+    """The canonical form as text, in the problem-file syntax."""
+    sym = {"eq": "=", "le": "<=", "ne": "!="}[c.op]
+    parts = []
+    for i, (coeff, pp) in enumerate(c.monomials):
+        body = "*".join("%s^%d" % (names[v], e) if e > 1 else names[v]
+                        for v, e in pp)
+        if abs(coeff) != 1:
+            body = "%d*%s" % (abs(coeff), body)
+        if i == 0:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+    return "%s %s %d" % (" ".join(parts), sym, c.rhs)
+
+
+def constraint_to_exprs(c):
+    """The canonical form rebuilt as expression trees."""
+    total = None
+    for coeff, pp in c.monomials:
+        term = None
+        for v, e in pp:
+            f = Var(v)
+            for _ in range(e - 1):
+                f = Mul(f, Var(v))
+            term = f if term is None else Mul(term, f)
+        if abs(coeff) != 1:
+            term = Mul(Lit(abs(coeff)), term)
+        if coeff < 0:
+            term = Neg(term)
+        total = term if total is None else Add(total, term)
+    sym = {"eq": "=", "le": "<=", "ne": "!="}[c.op]
+    return (total, sym, Lit(c.rhs))
 
 
 class TestNormalize:
@@ -39,7 +70,7 @@ class TestNormalize:
         rhs = Add(Lit(10),
                   Sub(Mul(Lit(4), Mul(Mul(Pow(x, 4), Pow(y, 6)), Pow(z, 2))),
                       Mul(Mul(Pow(y, 2), Pow(x, 5)), Pow(z, 4))))
-        c = normalize(lhs, "<=", rhs, 3)
+        c = normalize(lhs, "<=", rhs)
         assert isinstance(c, PolynomialConstraint)
         assert c.op == "le" and c.rhs == 10
         assert c.monomials == (
@@ -47,29 +78,29 @@ class TestNormalize:
             (-4, ((0, 4), (1, 6), (2, 2))),
             (3, ((0, 1), (1, 3), (2, 5))),
         )
-        assert c.render(["x", "y", "z"]) == \
+        assert render(c, ["x", "y", "z"]) == \
             "2*x^5*y^2*z^4 - 4*x^4*y^6*z^2 + 3*x*y^3*z^5 <= 10"
 
     def test_cancellation_is_trivial(self):
-        c = normalize(Sub(Var(0), Var(0)), "=", Lit(0), 1)
+        c = normalize(Sub(Var(0), Var(0)), "=", Lit(0))
         assert isinstance(c, TrivialConstraint) and c.satisfied
-        c = normalize(Lit(0), "=", Lit(1), 1)
+        c = normalize(Lit(0), "=", Lit(1))
         assert isinstance(c, TrivialConstraint) and not c.satisfied
 
     def test_strict_inequality_shift(self):
-        c = normalize(Add(Mul(Lit(2), Var(0)), Lit(3)), "<", Lit(10), 1)
+        c = normalize(Add(Mul(Lit(2), Var(0)), Lit(3)), "<", Lit(10))
         assert c.op == "le" and c.rhs == 6
         assert c.monomials == ((2, ((0, 1),)),)
 
     def test_reversed_inequalities(self):
-        c = normalize(Var(0), ">", Lit(3), 1)
+        c = normalize(Var(0), ">", Lit(3))
         assert c.op == "le" and c.rhs == -4
         assert c.monomials == ((-1, ((0, 1),)),)
-        c = normalize(Var(0), ">=", Lit(3), 1)
+        c = normalize(Var(0), ">=", Lit(3))
         assert c.op == "le" and c.rhs == -3
 
     def test_disequality_kept(self):
-        c = normalize(Var(0), "!=", Var(1), 2)
+        c = normalize(Var(0), "!=", Var(1))
         assert c.op == "ne" and c.rhs == 0
         assert c.monomials == ((1, ((0, 1),)), (-1, ((1, 1),)))
 
@@ -78,11 +109,11 @@ class TestNormalize:
         for _ in range(100):
             e = random_expr(rng, 3, depth=3)
             c = normalize(e, rng.choice(["<", "<=", "=", "!=", ">=", ">"]),
-                          random_expr(rng, 3, depth=2), 3)
+                          random_expr(rng, 3, depth=2))
             if isinstance(c, TrivialConstraint):
                 continue
             lhs, op, rhs = constraint_to_exprs(c)
-            c2 = normalize(lhs, op, rhs, 3)
+            c2 = normalize(lhs, op, rhs)
             assert c2.monomials == c.monomials
             assert (c2.op, c2.rhs) == (c.op, c.rhs)
 
@@ -92,7 +123,7 @@ class TestNormalize:
             lhs = random_expr(rng, 3, depth=3)
             rhs = random_expr(rng, 3, depth=2)
             op = rng.choice(["<", "<=", "=", "!=", ">=", ">"])
-            c = normalize(lhs, op, rhs, 3)
+            c = normalize(lhs, op, rhs)
             for vals in itertools.product(range(-5, 6), repeat=3):
                 want = compare(eval_expr(lhs, vals), op, eval_expr(rhs, vals))
                 assert check_assignment(c, vals) == want
@@ -235,7 +266,7 @@ class TestParser:
         assert csp.constraints[0].monomials == ((1, ((0, 200000),)),)
         assert csp.constraints[1].monomials == ((2, ((0, 1), (1, 3))),)
         assert len(products) == 2      # the two products of 2*x*y^3
-        n = normalize(Pow(Lit(-2), 5) + Pow(Lit(0), 10 ** 9), "=", Lit(0), 0)
+        n = normalize(Pow(Lit(-2), 5) + Pow(Lit(0), 10 ** 9), "=", Lit(0))
         assert n == TrivialConstraint(False)
 
     def test_comments_and_parens(self):
@@ -246,6 +277,38 @@ class TestParser:
         c = csp.constraints[0]
         assert c.monomials == ((1, ((0, 2),)),)
         assert c.rhs == 4
+
+
+class TestExpansionCap:
+    SUM = "(" + " + ".join("a%d" % i for i in range(10)) + ")"
+    DECLS = "".join("var a%d in [0..1];\n" % i for i in range(10))
+
+    def test_product_of_sums_is_a_parse_error(self):
+        # 20 factors would expand to C(29, 9) = 10,015,005 monomials
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match=r"line 11, col 1: .* more "
+                           r"than 10000 monomials"):
+            parse(self.DECLS + "constraint %s <= 5;"
+                  % "*".join([self.SUM] * 20))
+        assert time.perf_counter() - t0 < 1.0
+        # 4 factors stay under the cap
+        csp = parse(self.DECLS + "constraint %s <= 5;"
+                    % "*".join([self.SUM] * 4))
+        assert len(csp.constraints[0].monomials) == 715
+
+    def test_power_of_a_sum_is_rejected_before_expanding(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 10000 monomials"):
+            normalize(Pow(Add(Var(0), Var(1)), 10 ** 6), "=", Lit(0))
+        assert time.perf_counter() - t0 < 1.0
+        c = normalize(Pow(Add(Var(0), Var(1)), 5), "=", Lit(0))
+        assert [m[0] for m in c.monomials] == [1, 5, 10, 10, 5, 1]
+
+    def test_oversized_objective_is_rejected_by_maximize(self):
+        csp = parse(self.DECLS + "constraint a0 <= 5;\nmaximize %s;"
+                    % "*".join([self.SUM] * 20))
+        with pytest.raises(ValueError, match="more than 10000 monomials"):
+            maximize(csp)
 
 
 class TestCSP:

@@ -11,8 +11,10 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intprop.intervals import contains, div, div_weak, issubset
+from intprop.intervals import div, div_weak
 from intprop.rationals import q_div
+
+from interval_sets import contains, issubset
 
 WINDOW = range(-40, 41)
 

@@ -1,18 +1,14 @@
-import itertools
 import random
 
 from intprop import intervals as iv
 from intprop.intervals import OpCounters
 from intprop.model import (
     Add,
-    Div,
     Lit,
     Mul,
     MultAtom,
     PolynomialConstraint,
-    Pow,
     PowerAtom,
-    Root,
     Var,
     normalize,
     parse,
@@ -27,9 +23,7 @@ from intprop.rules import (
     RootXRule,
     PolyRule,
     build_rules,
-    eval_int,
     eval_monomial,
-    is_bounds_consistent,
 )
 
 
@@ -38,48 +32,6 @@ def constraint_of(text, domains):
                       for name, (lo, hi) in domains)
     csp = parse(decls + "\n" + text)
     return csp, csp.constraints[-1]
-
-
-class TestEvalInt:
-    def test_monomial(self):
-        store = [(1, 5), (1, 100)]
-        e = Mul(Pow(Var(0), 3), Var(1))
-        assert eval_int(e, store) == (1, 12500)
-
-    def test_addition(self):
-        assert eval_int(Add(Var(0), Var(1)), [(2, 4), (3, 8)]) == (5, 12)
-
-    def test_literal(self):
-        assert eval_int(Lit(7), []) == (7, 7)
-
-    def test_extended_nodes(self):
-        # cube root of (x^2 / y^2) style nesting
-        e = Root(Div(Pow(Var(0), 2), Pow(Var(1), 2)), 3)
-        store = [(2, 3), (1, 1)]
-        assert eval_int(e, store) == (2, 2)
-        e2 = Root(Pow(Var(0), 2), 2)
-        assert eval_int(e2, [(2, 3)]) == (-3, 3)
-
-    def test_counts_operations(self):
-        c = OpCounters()
-        eval_int(Mul(Pow(Var(0), 3), Var(1)), [(1, 5), (1, 100)], c)
-        assert c.exp == 1 and c.multI == 1
-
-    def test_long_chains_do_not_recurse(self):
-        # 3000-deep left spines of products and of sums and differences
-        x, y = Var(0), Var(1)
-        prod = x
-        total = x
-        for i in range(2999):
-            prod = prod * x
-            total = total + y if i % 2 else total - y
-        store = [(-1, 2), (1, 3)]
-        c = OpCounters()
-        assert eval_int(prod, store, c) == (-2 ** 2999, 2 ** 3000)
-        assert c.multI == 2999
-        assert eval_int(total, store, c) == (-1 - 1500 * 3 + 1499 * 1,
-                                             2 - 1500 * 1 + 1499 * 3)
-        assert c.sum == 2999
 
 
 class TestLinearRules:
@@ -381,11 +333,11 @@ class TestDiseq:
         assert rule.apply(store, None) == UNCHANGED
 
     def test_trivially_true_disequalities_get_no_rule(self):
-        c = normalize(Mul(Lit(2), Var(0)), "!=", Lit(7), 1)
+        c = normalize(Mul(Lit(2), Var(0)), "!=", Lit(7))
         assert build_rules([c]) == []
 
     def test_general_disequality_checks_fixed_points_only(self):
-        c = normalize(Add(Mul(Var(0), Var(1)), Var(0)), "!=", Lit(6), 2)
+        c = normalize(Add(Mul(Var(0), Var(1)), Var(0)), "!=", Lit(6))
         (rule,) = build_rules([c])
         store = [(2, 2), (1, 5)]
         assert rule.apply(store, None) == UNCHANGED
@@ -422,41 +374,3 @@ class TestBuildRules:
         assert sorted(rules[2].reads) == [0, u]
         assert sorted(rules[3].reads) == [0]
         assert sorted(rules[4].reads) == [u]
-
-
-class TestBoundsConsistency:
-    def test_known_cases(self):
-        assert not is_bounds_consistent([(-2, 1), (-3, 10), (8, 10)], 0, 1, 2)
-        assert is_bounds_consistent([(16, 16), (10, 10), (160, 160)], 0, 1, 2)
-        assert is_bounds_consistent([(1, 2), (1, 2), (1, 4)], 0, 1, 2)
-
-    def test_matches_witness_enumeration(self):
-        # compare against a rational witness search on small boxes
-        from fractions import Fraction
-
-        def oracle(dx, dy, dz):
-            def ext(av, other, target):
-                # a*b = c solvable with b in other, c in target (reals)
-                lo = min(av * other[0], av * other[1])
-                hi = max(av * other[0], av * other[1])
-                return not (hi < target[0] or target[1] < lo)
-
-            for a in (dx[0], dx[1]):
-                if not ext(Fraction(a), dy, dz):
-                    return False
-            for b in (dy[0], dy[1]):
-                if not ext(Fraction(b), dx, dz):
-                    return False
-            ps = [dx[i] * dy[j] for i in (0, 1) for j in (0, 1)]
-            for cv in (dz[0], dz[1]):
-                if not min(ps) <= cv <= max(ps):
-                    return False
-            return True
-
-        rng = random.Random(3)
-        for _ in range(500):
-            box = []
-            for _ in range(3):
-                a, b = sorted(rng.randint(-6, 6) for _ in range(2))
-                box.append((a, b))
-            assert is_bounds_consistent(box, 0, 1, 2) == oracle(*box)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import pathlib
@@ -12,7 +11,7 @@ import pytest
 import intprop
 from intprop.bench import build_benchmark, opt, sumprod
 from intprop.decompose import VARIANTS, decompose
-from intprop.model import CSP, Lit, Mul, Var, check_assignment, normalize, parse
+from intprop.model import CSP, Lit, Mul, Var, normalize, parse
 from intprop.search import (
     Infeasible,
     UnboundedAfterPropagation,
@@ -110,8 +109,8 @@ class TestSolveAll:
                 a, b = sorted(rng.randint(-4, 5) for _ in range(2))
                 doms.append((a, b))
             c1 = normalize(Mul(Var(0), Mul(Var(1), Var(1))), "=",
-                           Mul(Lit(2), Var(2)), 3)
-            c2 = normalize(Var(0) + Var(1) + Var(2), "<=", Lit(rng.randint(0, 8)), 3)
+                           Mul(Lit(2), Var(2)))
+            c2 = normalize(Var(0) + Var(1) + Var(2), "<=", Lit(rng.randint(0, 8)))
             csp = CSP(names=["x", "y", "z"], domains=doms,
                       constraints=[c1, c2])
             results = set()
