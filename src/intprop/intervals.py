@@ -303,12 +303,21 @@ def _endpoint_div(a0, a1, c, d) -> Interval:
     return mk(None if lo == -_INF else lo, None if hi == _INF else hi)
 
 
+# the most blocks one divisor scan visits; past it the scan gives up and
+# returns the bound it started from, so div falls back to div_weak's result
+_MAX_BLOCKS = 10 ** 5
+
+
 def _least_divisor(m: int, hi: int, a0: int, a1: int):
     # least value of [m..hi] dividing some member of [a0..a1], or None;
     # everything positive.  On a block of values y where k = a1 // y is
     # constant, y divides a member exactly when y * k >= a0, i.e. when
     # y >= ceil(a0 / k): one step per block.
+    start, blocks = m, 0
     while m <= hi:
+        if blocks == _MAX_BLOCKS:
+            return start
+        blocks += 1
         k = a1 // m
         if k == 0:
             return None
@@ -328,7 +337,11 @@ def _greatest_divisor(lo: int, m: int, a0: int, a1: int):
     # divisors are the block's upper part, so only its top is tested.
     if m > a1:
         m = a1
+    start, blocks = m, 0
     while m >= lo:
+        if blocks == _MAX_BLOCKS:
+            return start
+        blocks += 1
         k = a1 // m
         if m * k >= a0:
             return m
@@ -344,7 +357,8 @@ def _scan_divisors(c: int, d: int, a0: int, a1: int):
     range, or the denominator range, keeps the set of such magnitudes, so
     both reduce to positive ranges.  There a block of values y sharing
     ``a1 // y`` is decided in one step, so each end takes
-    O(sqrt(max |numerator|)) steps, not O(d - c).
+    O(sqrt(max |numerator|)) steps, not O(d - c), and at most
+    ``_MAX_BLOCKS``: an end that reaches the cap keeps its bound.
     """
     if a1 < 0:
         a0, a1 = -a1, -a0
@@ -404,7 +418,10 @@ def div(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
     max |numerator| (Z when the numerator is unbounded); a zero endpoint of
     the denominator is stripped.  What is left is a zero-free denominator,
     and the endpoint formula applies after snapping its bounds to values
-    that divide some member of the numerator.
+    that divide some member of the numerator.  A snap that would take more
+    than ``_MAX_BLOCKS`` steps (possible past numerators of about 10**9)
+    keeps the bound it started from, which gives :func:`div_weak`'s
+    superset there.
     """
     if ctr is not None:
         ctr.div += 1

@@ -5,8 +5,10 @@ repeated product).  Normalization expands everything, collects like terms
 under the global variable order (declaration order), moves the constant to
 the right-hand side, and eliminates strict comparisons using integrality.
 The result is ``sum of monomials  op  integer`` with ``op`` one of =, <=, !=.
-A product or power may expand to at most ``MAX_MONOMIALS`` monomials.  There
-are no division or root nodes: the rules call the interval kernels directly.
+A product or power may expand to at most ``MAX_MONOMIALS`` monomials, and
+expanding one constraint may take at most ``_MAX_PRODUCTS`` products of two
+terms.  There are no division or root nodes: the rules call the interval
+kernels directly.
 
 A problem file (:func:`parse`) holds statements ending in ``;``, and ``#``
 starts a comment that runs to the end of the line::
@@ -227,17 +229,18 @@ Constraint = Union[PolynomialConstraint, TrivialConstraint, MultAtom, PowerAtom]
 # ---------------------------------------------------------------------------
 # normalization
 
-def _poly_of(e: Expr) -> Dict[PowerProduct, int]:
+def _poly_of(e: Expr, spent: List[int]) -> Dict[PowerProduct, int]:
+    # spent[0] counts the term products formed so far (see _times)
     if isinstance(e, Var):
         return {((e.id, 1),): 1}
     if isinstance(e, Lit):
         return {(): e.value} if e.value else {}
     if isinstance(e, Neg):
-        return {pp: -c for pp, c in _poly_of(e.arg).items()}
+        return {pp: -c for pp, c in _poly_of(e.arg, spent).items()}
     if isinstance(e, (Add, Sub)):
         out: Dict[PowerProduct, int] = {}
         for sign, term in _sum_terms(e):
-            for pp, c in _poly_of(term).items():
+            for pp, c in _poly_of(term, spent).items():
                 nc = out.get(pp, 0) + sign * c
                 if nc:
                     out[pp] = nc
@@ -246,13 +249,13 @@ def _poly_of(e: Expr) -> Dict[PowerProduct, int]:
         return out
     if isinstance(e, Mul):
         factors = _factors(e)
-        out = _poly_of(factors[0])
+        out = _poly_of(factors[0], spent)
         for factor in factors[1:]:
-            out = _poly_mul(out, _poly_of(factor))
+            out = _times(out, _poly_of(factor, spent), spent)
         return out
     if isinstance(e, Pow):
         # surface sugar: a power is a repeated product
-        base = _poly_of(e.arg)
+        base = _poly_of(e.arg, spent)
         if len(base) <= 1:
             # a power of one monomial (or of 0) is one monomial
             return {tuple((v, k * e.n) for v, k in pp): c ** e.n
@@ -263,7 +266,7 @@ def _poly_of(e: Expr) -> Dict[PowerProduct, int]:
             raise ValueError(_TOO_MANY)
         out = base
         for _ in range(e.n - 1):
-            out = _poly_mul(out, base)
+            out = _times(out, base, spent)
         return out
     raise TypeError("%s is not part of the constraint language"
                     % type(e).__name__)
@@ -280,6 +283,20 @@ def _pp_mul(p: PowerProduct, q: PowerProduct) -> PowerProduct:
 # product: uncapped, a product of k sums can grow exponentially in k
 MAX_MONOMIALS = 10_000
 _TOO_MANY = "the expansion has more than %d monomials" % MAX_MONOMIALS
+
+
+# the most term products (len(a) * len(b) per _poly_mul) one normalize call
+# may form: under the monomial cap, a chain of products still costs their
+# sum, with coefficients growing to hundreds of digits
+_MAX_PRODUCTS = 10 ** 6
+
+
+def _times(a, b, spent: List[int]):
+    spent[0] += len(a) * len(b)
+    if spent[0] > _MAX_PRODUCTS:
+        raise ValueError("the expansion takes more than %d term products"
+                         % _MAX_PRODUCTS)
+    return _poly_mul(a, b)
 
 
 def _poly_mul(a, b):
@@ -313,12 +330,13 @@ def normalize(lhs: Expr, op: str, rhs: Expr) -> Constraint:
     """Rewrite `lhs op rhs` into canonical polynomial-constraint form.
 
     Raises ``ValueError`` when a product or power expands to more than
-    :data:`MAX_MONOMIALS` monomials.
+    :data:`MAX_MONOMIALS` monomials, or when expanding takes more than
+    ``_MAX_PRODUCTS`` term products.
     """
     if op not in _COMPARE:
         raise ValueError("unknown comparison %r" % op)
     origin = (lhs, op, rhs)
-    diff = _poly_of(Sub(lhs, rhs))
+    diff = _poly_of(Sub(lhs, rhs), [0])
     const = diff.pop((), 0)
     if not diff:
         return TrivialConstraint(_COMPARE[op](const, 0), origin=origin)

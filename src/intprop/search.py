@@ -9,7 +9,18 @@ solution leaves.
 One routine runs every search: it builds the statistics and the
 :class:`Solver`, propagates at the root, rejects variables left unbounded,
 searches, and checks every solution exactly against the constraints as
-written before accepting it.  :func:`solve_all` collects what it accepts;
+written before accepting it.  Bounds are checked once, on every branching
+variable after root propagation: from there on domains only shrink, and
+auxiliaries are products of user variables.
+
+The search is one loop over an explicit stack, so its depth is limited by
+memory, not by the recursion limit.  A frame is (parent store, first
+position of the branching order that may be unfixed, variable, half).
+Popping one restores the store, counts the node, applies the incumbent
+bound, propagates, and then accepts a solution or splits; a split copies
+the store once and pushes the upper half, then the lower half.
+
+:func:`solve_all` collects what it accepts;
 :func:`maximize` adds a variable equated with the objective, and each
 accepted solution becomes the incumbent: the remaining search only admits
 strictly larger objective values, so the incumbent sequence is strictly
@@ -71,10 +82,6 @@ class SearchStats:
         return 100.0 * self.drf_effective / self.drf_applications
 
 
-class _Truncated(Exception):
-    pass
-
-
 def verify_solution(csp: CSP, assignment) -> bool:
     """Exact re-evaluation of every constraint as originally written."""
     return all(check_origin(c, assignment) for c in csp.constraints)
@@ -108,31 +115,23 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
         stats.solutions += 1
         found(values)
 
-    def bump_nodes():
-        stats.nodes += 1
-        if max_nodes is not None and stats.nodes > max_nodes:
-            stats.nodes -= 1
-            raise _Truncated
-
-    def expand(start: int) -> None:
-        k = start
-        while k < len(order):
-            d = store[order[k]]
+    stack = []
+    solver.flag_all()
+    if not dec.infeasible and solver.propagate() == FIXPOINT:
+        for v in order:
+            d = store[v]
             if d[0] is None or d[1] is None:
-                raise UnboundedAfterPropagation(dec.names[order[k]])
-            if d[0] != d[1]:
-                break
-            k += 1
-        else:
-            accept([store[v][0] for v in range(n_user)])
-            return
-        v = order[k]
-        lo, hi = store[v]
-        mid = (lo + hi) // 2
-        for half in ((lo, mid), (mid + 1, hi)):
-            saved = store[:]
+                raise UnboundedAfterPropagation(dec.names[v])
+        stack.append((None, 0, None, None))   # the root: propagated already
+    while stack:
+        saved, k, v, half = stack.pop()
+        if max_nodes is not None and stats.nodes >= max_nodes:
+            stats.complete = False
+            break
+        stats.nodes += 1
+        if saved is not None:
+            store[:] = saved
             store[v] = half
-            bump_nodes()
             seeds = [v]
             failed = False
             if incumbents:
@@ -144,28 +143,23 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
                     store[objective] = nd
                     seeds.append(objective)
                     failed = nd is None
-            if not failed:
-                failed = solver.propagate(seeds) != FIXPOINT
-            if not failed:
-                expand(k)
-            solver.reset_pending()
-            store[:] = saved
-
-    solver.flag_all()
-    try:
-        if not dec.infeasible and solver.propagate() == FIXPOINT:
-            for v in range(n_user):
-                d = store[v]
-                if v != objective and (d[0] is None or d[1] is None):
-                    raise UnboundedAfterPropagation(dec.names[v])
-            bump_nodes()
-            expand(0)
-    except _Truncated:
-        stats.complete = False
-    finally:
-        stats.drf_applications = solver.applications
-        stats.drf_effective = solver.effective
-        stats.elapsed = time.perf_counter() - t0
+            if failed or solver.propagate(seeds) != FIXPOINT:
+                solver.reset_pending()
+                continue
+        while k < len(order) and store[order[k]][0] == store[order[k]][1]:
+            k += 1
+        if k == len(order):
+            accept([store[v][0] for v in range(n_user)])
+            continue
+        v = order[k]
+        lo, hi = store[v]
+        mid = (lo + hi) // 2
+        saved = store[:]
+        stack.append((saved, k, v, (mid + 1, hi)))
+        stack.append((saved, k, v, (lo, mid)))
+    stats.drf_applications = solver.applications
+    stats.drf_effective = solver.effective
+    stats.elapsed = time.perf_counter() - t0
     return stats
 
 

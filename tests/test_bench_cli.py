@@ -149,6 +149,19 @@ class TestCli:
         assert rep["complete"] is False and rep["objective"] is None
         assert "truncated" in err and "infeasible" not in err
 
+    def test_deep_truncated_maximize_succeeds(self, tmp_path, capsys):
+        # about 1,330 levels of bisection under a 5,000-node budget
+        n = 10 ** 400
+        p = tmp_path / "deep.csp"
+        p.write_text("var x in [0..%d]; var y in [0..%d];\n"
+                     "constraint x + y = %d;\nmaximize x - 2*y;" % (n, n, n))
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--max-nodes", "5000", "--stats", "json")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["nodes"] == 5000 and rep["complete"] is False
+        assert err == "warning: search truncated at 5000 nodes (incomplete)\n"
+
     def test_unbounded_variable_is_an_input_error(self, tmp_path, capsys):
         p = tmp_path / "unbounded.csp"
         p.write_text("var x in Z; solve all;")

@@ -257,6 +257,22 @@ class TestDivisorSnap:
         assert div((-p, -p), (-10 ** 9, -2)) is None
         assert time.perf_counter() - t0 < 1.0
 
+    def test_huge_numerator_falls_back_to_the_weak_quotient(self):
+        # an uncapped snap would take about 2 * 10**9 blocks here
+        p = 10 ** 18 + 3    # prime: no divisor in [2..10**12]
+        t0 = time.perf_counter()
+        for a, b in (((p, p), (2, 10 ** 12)), ((-p, -p), (2, 10 ** 12)),
+                     ((p, p), (-10 ** 12, -2))):
+            assert div(a, b) == div_weak(a, b) is not None
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_block_cap_gives_a_superset_of_the_exact_quotient(
+            self, monkeypatch):
+        a, b = (10 ** 7 + 3,) * 2, (2, 10 ** 7)
+        assert div(a, b) == (13, 769231)
+        monkeypatch.setattr(intervals, "_MAX_BLOCKS", 3)
+        assert div(a, b) == div_weak(a, b) == (2, 5000001)
+
 
 class TestCounters:
     def test_each_op_bumps_one_category(self):

@@ -304,6 +304,40 @@ class TestExpansionCap:
         c = normalize(Pow(Add(Var(0), Var(1)), 5), "=", Lit(0))
         assert [m[0] for m in c.monomials] == [1, 5, 10, 10, 5, 1]
 
+    def test_term_products_are_counted_per_normalize_call(self, monkeypatch):
+        monkeypatch.setattr(model, "_MAX_PRODUCTS", 10)
+        s = Add(Var(0), Var(1))
+        # 2*2 + 3*2 = 10 products: at the budget
+        normalize(Mul(Mul(s, s), s), "=", Lit(0))
+        # both sides count: 4 + 4 + 4 = 12
+        with pytest.raises(ValueError, match="more than 10 term products"):
+            normalize(Mul(s, s), "=", Mul(s, Mul(s, s)))
+        # the budget is per call, so parse may use it for every constraint
+        body = "constraint (a+b)*(a+b)*(a+b) = 0;\n"
+        csp = parse("var a in [0..1]; var b in [0..1];\n" + body * 3)
+        assert len(csp.constraints) == 3
+        with pytest.raises(ParseError, match=r"line 3, col 1: .* more "
+                           r"than 10 term products"):
+            parse("var a in [0..1]; var b in [0..1];\n" + body
+                  + "constraint (a+b)*(a+b)*(a+b)*(a+b) = 0;")
+
+    def test_long_expansion_is_rejected(self):
+        # (1 + x + ... + x^1000) squared: 1001**2 term products, 2001
+        # monomials, so only the product budget stops it
+        terms = ["1", "x"] + ["x^%d" % i for i in range(2, 1001)]
+        p = "(" + " + ".join(terms) + ")"
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match=r"line 2, col 1: .* more "
+                           r"than 1000000 term products"):
+            parse("var x in [0..1];\nconstraint %s * %s = 1;" % (p, p))
+        x = Var(0)
+        q = Lit(1)
+        for i in range(1, 1001):
+            q = Add(q, Pow(x, i))
+        with pytest.raises(ValueError, match="more than 1000000 term"):
+            normalize(Mul(q, q), "=", Lit(1))
+        assert time.perf_counter() - t0 < 1.0
+
     def test_oversized_objective_is_rejected_by_maximize(self):
         csp = parse(self.DECLS + "constraint a0 <= 5;\nmaximize %s;"
                     % "*".join([self.SUM] * 20))

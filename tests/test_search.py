@@ -98,8 +98,17 @@ class TestSolveAll:
         assert full_stats.nodes > 10
         sols, stats = solve_all(csp, "fe", max_nodes=10)
         assert not stats.complete
-        assert stats.nodes <= 10
+        assert stats.nodes == 10
         assert len(sols) <= len(full)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_no_budget_stops_before_the_root(self, budget):
+        csp = build_benchmark("cubes", 200)
+        sols, stats = solve_all(csp, "fe", max_nodes=budget)
+        assert sols == [] and stats.nodes == 0 and not stats.complete
+        best, val, stats = maximize(opt(200), max_nodes=budget)
+        assert (best, val) == (None, None)
+        assert stats.nodes == 0 and not stats.complete
 
     def test_variants_and_modes_agree(self):
         rng = random.Random(31)
@@ -254,12 +263,39 @@ class TestMaximize:
         assert (best, val) == (None, None)
         assert not stats.complete and stats.nodes == 5
 
+    def test_unbounded_variable_other_than_the_objective_raises(self):
+        csp = parse("var x in [0..5]; var y in Z; constraint x + 0*y >= 1;"
+                    " maximize x;")
+        with pytest.raises(UnboundedAfterPropagation) as e:
+            maximize(csp, variant="du")
+        assert e.value.name == "y"
+
     def test_truncation_keeps_the_last_incumbent(self):
         best, val, stats = maximize(opt(200), variant="fe", max_nodes=40)
         assert not stats.complete
         assert val == stats.incumbents[-1] < 37543
         x, y, z = best
         assert x ** 3 + y ** 2 == z ** 3 and 2 * x * y - z == val
+
+
+class TestDeepSearch:
+    """Bisecting [0..10^400] takes about 1,330 levels: the search must not
+    recurse once per level."""
+
+    N = 10 ** 400
+    TEXT = ("var x in [0..%d]; var y in [0..%d]; constraint x + y = %d;"
+            " maximize x - 2*y;" % (N, N, N))
+
+    def test_solve_all_truncates_deep_search(self):
+        sols, stats = solve_all(parse(self.TEXT), max_nodes=5000)
+        assert stats.nodes == 5000 and not stats.complete
+        assert sols and all(x + y == self.N for x, y in sols)
+
+    def test_maximize_truncates_deep_search(self):
+        best, val, stats = maximize(parse(self.TEXT), max_nodes=5000)
+        assert stats.nodes == 5000 and not stats.complete
+        x, y = best
+        assert x + y == self.N and x - 2 * y == val == stats.incumbents[-1]
 
 
 class TestChecksUnderOptimize:
