@@ -19,7 +19,24 @@ Variants
     (preferring a power over a product on ties, then the term whose
     exponent vector is lexicographically smallest, which builds products
     of many distinct variables nested from the rightmost pair).  Identical
-    sub-terms are shared across constraints; unused ones are dropped.
+    sub-terms are shared across constraints.  Growing a sub-term tests
+    every pair of the sub-terms that divide it; a decomposition that would
+    test more than ``_MAX_PAIRS`` pairs raises ``ValueError``.
+
+Auxiliaries
+-----------
+While rewriting, an auxiliary is known only by the power product over user
+variables that it stands for, and its definition by the power products of
+its arguments.  Once every constraint is rewritten, the auxiliaries that
+no user constraint needs, directly or through another definition, are
+left out, and the others are numbered once: ids follow the user variables
+in creation order, and ``_u<k>`` names the ``k``-th auxiliary created
+(with ``_`` appended while a user variable has that name), so the names
+of the kept ones may skip numbers.  Each auxiliary's initial domain is
+the image of its definition's forward rule (the first of its rules),
+applied without counting in definition order, so the rules are the one
+place where a definition is evaluated.  With an empty user domain the
+problem is infeasible and no initial domain is computed.
 
 The generated schedule visits, for every rule of a user constraint, the
 definitions of the auxiliaries it reads bottom-up, then the rule, then the
@@ -31,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from . import intervals as iv
 from .intervals import Interval
 from .model import (
     CSP,
@@ -43,7 +59,7 @@ from .model import (
     TrivialConstraint,
     _pp_key,
 )
-from .rules import Rule, build_rules, eval_monomial, readers_index
+from .rules import Rule, build_rules, readers_index
 
 VARIANTS = ("du", "do", "pu", "po", "fm", "fs", "fe")
 
@@ -85,107 +101,57 @@ def _nonlinear(pp: PowerProduct) -> bool:
     return len(pp) > 1 or (len(pp) == 1 and pp[0][1] > 1)
 
 
-class _AuxSpace:
-    """Shared bookkeeping for auxiliary variables of one decomposition."""
-
-    def __init__(self, names: List[str], domains: List[Interval]):
-        self.names = names
-        self.domains = domains
-        self.defs: List[AuxDef] = []
-
-    def new_var(self) -> int:
-        name = "_u%d" % (len(self.defs) + 1)
-        while name in self.names:
-            name += "_"
-        self.names.append(name)
-        self.domains.append((None, None))
-        return len(self.names) - 1
-
-    def rewrite(self, c: PolynomialConstraint) -> PolynomialConstraint:
-        """Replace every nonlinear power product by its auxiliary."""
-        mons = tuple(
-            (coeff, ((self.aux_for(pp), 1),)) if _nonlinear(pp) else (coeff, pp)
-            for coeff, pp in c.monomials)
-        return PolynomialConstraint(mons, c.op, c.rhs, origin=c.origin)
-
-
-class _PartialRewriter(_AuxSpace):
-    def __init__(self, names, domains):
-        super().__init__(names, domains)
-        self.by_pp: Dict[PowerProduct, int] = {}
-
-    def aux_for(self, pp: PowerProduct) -> int:
-        got = self.by_pp.get(pp)
-        if got is not None:
-            return got
-        u = self.new_var()
-        self.by_pp[pp] = u
-        self.defs.append(AuxDef(u, "pp", pp=pp))
-        return u
-
-    def rewrite_duplicated(self, c: PolynomialConstraint) -> PolynomialConstraint:
-        # replace only the power products involved in a repeated variable
-        # occurrence, so constraints that are already simple stay intact
+def _replaced(c: PolynomialConstraint, variant: str) -> List[PowerProduct]:
+    """The power products of ``c`` that ``variant`` replaces by
+    auxiliaries, in monomial order."""
+    pps = [pp for _, pp in c.monomials if _nonlinear(pp)]
+    if variant == "po":
+        # only those in a repeated variable occurrence, so constraints
+        # that are already simple stay intact
         counts: Dict[int, int] = {}
         for _, pp in c.monomials:
             for v, _ in pp:
                 counts[v] = counts.get(v, 0) + 1
-        mons = tuple(
-            (coeff, ((self.aux_for(pp), 1),))
-            if _nonlinear(pp) and any(counts[v] > 1 for v, _ in pp)
-            else (coeff, pp)
-            for coeff, pp in c.monomials)
-        return PolynomialConstraint(mons, c.op, c.rhs, origin=c.origin)
+        pps = [pp for pp in pps if any(counts[v] > 1 for v, _ in pp)]
+    return pps
 
 
-class _FullRewriter(_AuxSpace):
-    def __init__(self, names, domains, n_user: int, variant: str):
-        super().__init__(names, domains)
+# the most divisor pairs one full decomposition may test: _grow_towards
+# tests every pair at every step, so a product of k distinct variables
+# costs about k**3 / 6 pairs
+_MAX_PAIRS = 10 ** 5
+
+
+class _SubTerms:
+    """The sub-terms of a full decomposition, in creation order.
+
+    ``made`` maps each sub-term's power product over user variables to
+    ``("mul", (pa, pb))`` or ``("pow", (pa, n))``, its arguments again
+    power products; a user variable ``v`` is ``((v, 1),)``.
+    """
+
+    def __init__(self, variant: str):
         self.variant = variant
-        # power product (over user variables) -> variable holding its value
-        self.available: Dict[PowerProduct, int] = {}
-        self.pp_of: Dict[int, PowerProduct] = {}
-        for v in range(n_user):
-            self.available[((v, 1),)] = v
-            self.pp_of[v] = ((v, 1),)
+        self.made: Dict[PowerProduct, Tuple[str, tuple]] = {}
+        self.pairs = 0
 
-    def _register(self, pp: PowerProduct, kind: str, args) -> int:
-        u = self.new_var()
-        self.available[pp] = u
-        self.pp_of[u] = pp
-        self.defs.append(AuxDef(u, kind, args=args))
-        return u
-
-    def _ensure_power(self, v: int, e: int) -> None:
-        pp = ((v, e),)
-        if pp not in self.available:
-            self._register(pp, "pow", (v, e))
-
-    def _ensure_square_chain(self, v: int, e: int) -> None:
-        k = 2
-        while k <= e:
-            pp = ((v, k),)
-            if pp not in self.available:
-                base = v if k == 2 else self.available[((v, k // 2),)]
-                self._register(pp, "pow", (base, 2))
-            k *= 2
-
-    def aux_for(self, target: PowerProduct) -> int:
-        if not _nonlinear(target):
-            return target[0][0]
-        got = self.available.get(target)
-        if got is not None:
-            return got
+    def define(self, target: PowerProduct) -> None:
+        """Make sure some sub-term stands for ``target``."""
+        if target in self.made:
+            return
         if self.variant == "fe":
             for v, e in target:
                 if e >= 2:
-                    self._ensure_power(v, e)
+                    self.made.setdefault(((v, e),), ("pow", (((v, 1),), e)))
         elif self.variant == "fs":
             for v, e in target:
-                self._ensure_square_chain(v, e)
-        while target not in self.available:
+                k = 2
+                while k <= e:
+                    self.made.setdefault(((v, k),),
+                                         ("pow", (((v, k // 2),), 2)))
+                    k *= 2
+        while target not in self.made:
             self._grow_towards(target)
-        return self.available[target]
 
     def _grow_towards(self, target: PowerProduct) -> None:
         t_exp = dict(target)
@@ -193,12 +159,20 @@ class _FullRewriter(_AuxSpace):
         def divides(pp):
             return all(t_exp.get(v, 0) >= e for v, e in pp)
 
-        divisors = [(pp, v) for pp, v in self.available.items() if divides(pp)]
+        # in creation order, user variables first, so a pair (pa, pb) with
+        # pa first has its arguments in the order of their ids
+        divisors = [((v, 1),) for v, _ in target]
+        divisors += [pp for pp in self.made if divides(pp)]
+        n = len(divisors)
+        self.pairs += n * (n + 1) // 2
+        if self.pairs > _MAX_PAIRS:
+            raise ValueError("full decomposition would test more than %d "
+                             "pairs of sub-terms" % _MAX_PAIRS)
         # candidate new sub-terms: result pp -> ("mul"/"pow", args); powers
         # are preferred over products for the same result
         cands: Dict[PowerProduct, Tuple[str, tuple]] = {}
-        for i, (pa, va) in enumerate(divisors):
-            for pb, vb in divisors[i:]:
+        for i, pa in enumerate(divisors):
+            for pb in divisors[i:]:
                 d = dict(pa)
                 ok = True
                 for v, e in pb:
@@ -210,22 +184,21 @@ class _FullRewriter(_AuxSpace):
                 if not ok:
                     continue
                 res = tuple(sorted(d.items()))
-                if res in self.available:
+                if res in self.made:
                     continue
                 if res not in cands:
-                    lo, hi = (va, vb) if va <= vb else (vb, va)
-                    cands[res] = ("mul", (lo, hi))
+                    cands[res] = ("mul", (pa, pb))
         if self.variant in ("fs", "fe"):
             top = 2 if self.variant == "fs" else None
-            for pa, va in divisors:
+            for pa in divisors:
                 k = 2
                 while top is None or k <= top:
                     d = {v: e * k for v, e in pa}
                     if any(e > t_exp.get(v, 0) for v, e in d.items()):
                         break
                     res = tuple(sorted(d.items()))
-                    if res not in self.available:
-                        cands[res] = ("pow", (va, k))
+                    if res not in self.made:
+                        cands[res] = ("pow", (pa, k))
                     k += 1
         best = None
         best_key = None
@@ -236,47 +209,51 @@ class _FullRewriter(_AuxSpace):
                 best, best_key = res, key
         if best is None:
             raise AssertionError("no way to grow towards %r" % (target,))
-        kind, args = cands[best]
-        self._register(best, kind, args)
+        self.made[best] = cands[best]
 
 
-def _prune_unused(defs: List[AuxDef], users: List[Constraint],
-                  names, domains, n_user: int):
-    """Drop auxiliaries no user constraint depends on, compacting ids."""
-    needed = set()
-    for c in users:
-        if isinstance(c, PolynomialConstraint):
-            needed |= c.vars()
-    for d in reversed(defs):
-        if d.var in needed:
-            needed.update(d.inputs())
-    kept = [d for d in defs if d.var in needed]
-    if len(kept) == len(defs):
-        return defs, users, names, domains
-    remap = {v: v for v in range(n_user)}
-    new_names = names[:n_user]
-    new_domains = domains[:n_user]
-    for d in kept:
-        remap[d.var] = len(new_names)
-        new_names.append(names[d.var])
-        new_domains.append(domains[d.var])
+def _number(made: Dict[PowerProduct, Tuple[str, tuple]],
+            targets: List[List[PowerProduct]], names: List[str]):
+    """Number the auxiliaries that some user constraint needs.
 
-    def map_pp(pp):
-        return tuple((remap[v], e) for v, e in pp)
-
-    new_defs = [AuxDef(remap[d.var], d.kind, pp=map_pp(d.pp),
-                       args=tuple(remap[a] for a in d.args[:1]) + d.args[1:]
-                       if d.kind == "pow" else tuple(remap[a] for a in d.args))
-                for d in kept]
-    new_users = []
-    for c in users:
-        if isinstance(c, PolynomialConstraint):
-            mons = tuple((coeff, map_pp(pp)) for coeff, pp in c.monomials)
-            new_users.append(PolynomialConstraint(mons, c.op, c.rhs,
-                                                  origin=c.origin))
+    ``made`` maps the power product of each auxiliary, in creation order,
+    to its definition: ``("pp", ())`` for the product itself, or one of
+    :class:`_SubTerms`; ``targets`` lists the products each user constraint
+    replaces.  Appends the kept auxiliaries' names to ``names``, the user
+    names, and returns their definitions and the ids of the user variables
+    and the kept auxiliaries by power product.
+    """
+    needed = {pp for ts in targets for pp in ts}
+    for pp, (kind, args) in reversed(made.items()):
+        if pp in needed and kind != "pp":
+            needed.update(args if kind == "mul" else args[:1])
+    ids = {((v, 1),): v for v in range(len(names))}
+    taken = set(names)
+    defs: List[AuxDef] = []
+    for i, (pp, (kind, args)) in enumerate(made.items(), 1):
+        if pp not in needed:
+            continue
+        u = ids[pp] = len(names)
+        name = "_u%d" % i
+        while name in taken:
+            name += "_"
+        names.append(name)
+        if kind == "pp":
+            defs.append(AuxDef(u, "pp", pp=pp))
+        elif kind == "mul":
+            defs.append(AuxDef(u, "mul", args=(ids[args[0]], ids[args[1]])))
         else:
-            new_users.append(c)
-    return new_defs, new_users, new_names, new_domains
+            defs.append(AuxDef(u, "pow", args=(ids[args[0]], args[1])))
+    return defs, ids
+
+
+def _substitute(c: PolynomialConstraint, targets: List[PowerProduct],
+                ids: Dict[PowerProduct, int]) -> PolynomialConstraint:
+    """``c`` with each of ``targets`` replaced by its auxiliary."""
+    chosen = set(targets)
+    mons = tuple((coeff, ((ids[pp], 1),)) if pp in chosen else (coeff, pp)
+                 for coeff, pp in c.monomials)
+    return PolynomialConstraint(mons, c.op, c.rhs, origin=c.origin)
 
 
 def def_constraint(d: AuxDef) -> Constraint:
@@ -287,19 +264,6 @@ def def_constraint(d: AuxDef) -> Constraint:
     if d.kind == "mul":
         return MultAtom(d.args[0], d.args[1], d.var)
     return PowerAtom(d.var, d.args[0], d.args[1])
-
-
-def compute_aux_domains(aux_defs: Sequence[AuxDef], store,
-                        ctr=None) -> None:
-    """Fill in each auxiliary's domain from its definition, bottom-up."""
-    for d in aux_defs:
-        if d.kind == "pp":
-            val = eval_monomial(1, d.pp, store, ctr)
-        elif d.kind == "mul":
-            val = iv.mult(store[d.args[0]], store[d.args[1]], ctr)
-        else:
-            val = iv.exp(store[d.args[0]], d.args[1], ctr)
-        store[d.var] = val
 
 
 def _generate_schedule(rules: List[Rule], user_rule_indices: List[int],
@@ -352,10 +316,11 @@ def decompose(csp: CSP, variant: str, division: str = "weak",
     if division not in ("weak", "strong"):
         raise ValueError("division must be 'weak' or 'strong'")
     names = list(csp.names)
-    domains = list(csp.domains)
     n_user = len(names)
+    # an empty user domain leaves nothing to propagate or to evaluate
+    empty = None in csp.domains
 
-    infeasible = False
+    infeasible = empty
     kept: List[Constraint] = []
     for c in csp.constraints:
         if isinstance(c, TrivialConstraint):
@@ -365,23 +330,24 @@ def decompose(csp: CSP, variant: str, division: str = "weak",
             kept.append(c)
 
     defs: List[AuxDef] = []
-    if variant in ("du", "do"):
-        users: List[Constraint] = kept
-    else:
-        if variant in ("pu", "po"):
-            rw = _PartialRewriter(names, domains)
-            step = rw.rewrite if variant == "pu" else rw.rewrite_duplicated
-        else:
-            rw = _FullRewriter(names, domains, n_user, variant)
-            step = rw.rewrite
+    users: List[Constraint] = kept
+    if variant not in ("du", "do"):
         # atomic constraints are already in final form
-        users = [step(c) if isinstance(c, PolynomialConstraint) else c
-                 for c in kept]
-        defs = rw.defs
-
-    defs, users, names, domains = _prune_unused(defs, users, names, domains,
-                                                n_user)
-    compute_aux_domains(defs, domains)
+        targets = [_replaced(c, variant)
+                   if isinstance(c, PolynomialConstraint) else []
+                   for c in kept]
+        if variant in ("pu", "po"):
+            made = {pp: ("pp", ()) for ts in targets for pp in ts}
+        else:
+            rw = _SubTerms(variant)
+            for ts in targets:
+                for pp in ts:
+                    rw.define(pp)
+            made = rw.made
+        defs, ids = _number(made, targets, names)
+        users = [_substitute(c, ts, ids) if ts else c
+                 for c, ts in zip(kept, targets)]
+    domains = list(csp.domains) + [(None, None)] * len(defs)
 
     optimized = variant == "do"
     rules: List[Rule] = []
@@ -396,6 +362,9 @@ def decompose(csp: CSP, variant: str, division: str = "weak",
         base = len(rules)
         rules.extend(sub_rules)
         assert sub_rules[0].writes == d.var
+        if not empty:
+            # the initial domain is the image of the forward rule
+            sub_rules[0].apply(domains, None)
         fwd_rule[d.var] = base
         bwd_rules[d.var] = list(range(base + 1, base + len(sub_rules)))
         aux_inputs[d.var] = d.inputs()

@@ -7,8 +7,8 @@ the right-hand side, and eliminates strict comparisons using integrality.
 The result is ``sum of monomials  op  integer`` with ``op`` one of =, <=, !=.
 A product or power may expand to at most ``MAX_MONOMIALS`` monomials, and
 expanding one constraint may take at most ``_MAX_PRODUCTS`` products of two
-terms.  There are no division or root nodes: the rules call the interval
-kernels directly.
+terms; the constraints of one problem file share that budget.  There are
+no division or root nodes: the rules call the interval kernels directly.
 
 A problem file (:func:`parse`) holds statements ending in ``;``, and ``#``
 starts a comment that runs to the end of the line::
@@ -285,9 +285,10 @@ MAX_MONOMIALS = 10_000
 _TOO_MANY = "the expansion has more than %d monomials" % MAX_MONOMIALS
 
 
-# the most term products (len(a) * len(b) per _poly_mul) one normalize call
-# may form: under the monomial cap, a chain of products still costs their
-# sum, with coefficients growing to hundreds of digits
+# the most term products (len(a) * len(b) per _poly_mul) one normalize call,
+# or all constraints of one parse, may form: under the monomial cap, a chain
+# of products still costs their sum, with coefficients growing to hundreds
+# of digits
 _MAX_PRODUCTS = 10 ** 6
 
 
@@ -333,10 +334,15 @@ def normalize(lhs: Expr, op: str, rhs: Expr) -> Constraint:
     :data:`MAX_MONOMIALS` monomials, or when expanding takes more than
     ``_MAX_PRODUCTS`` term products.
     """
+    return _normalize(lhs, op, rhs, [0])
+
+
+def _normalize(lhs: Expr, op: str, rhs: Expr, spent: List[int]) -> Constraint:
+    # spent[0]: the term products already formed against the same budget
     if op not in _COMPARE:
         raise ValueError("unknown comparison %r" % op)
     origin = (lhs, op, rhs)
-    diff = _poly_of(Sub(lhs, rhs), [0])
+    diff = _poly_of(Sub(lhs, rhs), spent)
     const = diff.pop((), 0)
     if not diff:
         return TrivialConstraint(_COMPARE[op](const, 0), origin=origin)
@@ -480,6 +486,7 @@ class _Parser:
         self.csp = CSP(names=[], domains=[], constraints=[])
         self.index: Dict[str, int] = {}
         self.depth = 0
+        self.spent = [0]        # one expansion budget for the whole file
 
     def peek(self):
         return self.tokens[self.pos]
@@ -568,7 +575,7 @@ class _Parser:
         rhs = self.expr()
         self.expect("sym", ";")
         try:
-            self.csp.constraints.append(normalize(lhs, op, rhs))
+            self.csp.constraints.append(_normalize(lhs, op, rhs, self.spent))
         except ValueError as e:
             raise ParseError(str(e), start[2], start[3]) from None
 

@@ -133,6 +133,18 @@ class TestCli:
         assert code == 2
         assert "10000 monomials" in err
 
+    def test_oversized_decomposition_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "long.csp"
+        names = ["x%d" % i for i in range(60)]
+        p.write_text("".join("var %s in [1..2]; " % x for x in names)
+                     + "\nconstraint %s = 2;" % "*".join(names))
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
+        assert code == 2
+        assert "more than 100000 pairs" in err
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--variant", "du", "--max-nodes", "10")
+        assert code == 0
+
     def test_infeasible_maximize_exit_code(self, tmp_path, capsys):
         p = tmp_path / "inf.csp"
         p.write_text("var x in [1..5]; constraint x^2 = 3; maximize x;")

@@ -1,10 +1,11 @@
+import importlib
 import itertools
 import random
 
 import pytest
 
 from intprop.bench import build_benchmark
-from intprop.decompose import compute_aux_domains, decompose
+from intprop.decompose import VARIANTS, AuxDef, decompose
 from intprop.model import (
     CSP,
     Lit,
@@ -25,6 +26,10 @@ from intprop.rules import (
     ExpoRule,
     RootXRule,
 )
+from intprop.search import Infeasible, maximize, solve_all
+
+# the module, which the package's ``decompose`` function shadows
+decompose_module = importlib.import_module("intprop.decompose")
 
 
 def user_constraints(dec):
@@ -147,18 +152,48 @@ class TestFullHeuristics:
         second = dec.aux_defs[1]
         assert names_of(dec, second.args)[0] == "x3"
 
+    def test_decomposition_cost_is_capped(self, monkeypatch):
+        # a product of k distinct variables tests about k**3 / 6 pairs of
+        # sub-terms: 71,500 at 40 factors, past the cap of 10**5 at 45
+        def product(k):
+            return parse("".join("var x%d in [1..2]; " % i for i in range(k))
+                         + "constraint %s = 2;"
+                         % "*".join("x%d" % i for i in range(k)))
+
+        assert len(decompose(product(40), "fe").aux_defs) == 39
+        with pytest.raises(ValueError, match="more than 100000 pairs"):
+            decompose(product(45), "fe")
+        # 8,550 pairs at 20 factors
+        monkeypatch.setattr(decompose_module, "_MAX_PAIRS", 8550)
+        for variant in ("fm", "fs", "fe"):
+            decompose(product(20), variant)
+        monkeypatch.setattr(decompose_module, "_MAX_PAIRS", 8549)
+        for variant in ("fm", "fs", "fe"):
+            with pytest.raises(ValueError, match="more than 8549 pairs"):
+                decompose(product(20), variant)
+
     def test_unused_auxiliaries_are_dropped(self):
-        # nothing refers to y^3 once x^2*y^3 is assembled differently; force
-        # a pruning pass by checking every aux feeds some user constraint
-        csp = build_benchmark("kyoto", 10)
-        dec = decompose(csp, "fs")
-        used = set()
-        for c in user_constraints(dec):
-            used |= c.vars() if hasattr(c, "vars") else set()
-        for d in reversed(dec.aux_defs):
-            if d.var in used:
-                used.update(d.inputs())
-        assert all(d.var in used for d in dec.aux_defs)
+        # x^2*y^2 first makes x^2 and y^2 (_u2, _u3), then takes the
+        # square of x*y (_u1) as _u4; nothing reads x^2 or y^2 after that
+        csp = parse("""
+            var x in [1..5]; var y in [1..5];
+            constraint x*y <= 6;
+            constraint x^2*y^2 >= 4;
+        """)
+        want = {vals for vals in itertools.product(range(1, 6), repeat=2)
+                if all(check_assignment(c, vals) for c in csp.constraints)}
+        assert len(want) == 11
+        for variant in ("fe", "fs"):
+            dec = decompose(csp, variant)
+            assert dec.names == ["x", "y", "_u1", "_u4"]
+            assert dec.aux_defs == [AuxDef(2, "mul", args=(0, 1)),
+                                    AuxDef(3, "pow", args=(2, 2))]
+            assert dec.domains == [(1, 5), (1, 5), (1, 25), (1, 625)]
+            assert [c.monomials for c in user_constraints(dec)] == [
+                ((1, ((2, 1),)),), ((-1, ((3, 1),)),)]
+            assert dec.branch_order == [0, 1, 2, 3]
+            sols, _ = solve_all(csp, variant)
+            assert sorted(sols) == sorted(want), variant
 
 
 class TestAuxDomains:
@@ -178,11 +213,21 @@ class TestAuxDomains:
         dec = decompose(csp, "pu")
         assert dec.domains[2] == (1, 10 ** 8)
 
-    def test_empty_input_propagates(self):
-        store = [(1, 9), None, (None, None)]
-        from intprop.decompose import AuxDef
-        compute_aux_domains([AuxDef(2, "pp", pp=((0, 1), (1, 1)))], store)
-        assert store[2] is None
+    def test_empty_user_domain_is_infeasible(self):
+        # an empty domain ends every variant before propagation
+        x, y = Var(0), Var(1)
+        csp = CSP(names=["x", "y"], domains=[(1, 3), None],
+                  constraints=[normalize(x * y + x * x * y, "<=", Lit(9)),
+                               normalize(x * y, "!=", Lit(2))])
+        for variant in VARIANTS:
+            dec = decompose(csp, variant)
+            assert dec.infeasible, variant
+            assert all(d == (None, None) for d in dec.domains[2:]), variant
+            sols, stats = solve_all(csp, variant)
+            assert sols == [] and stats.complete and stats.nodes == 0, \
+                variant
+            with pytest.raises(Infeasible):
+                maximize(csp, objective=x, variant=variant)
 
 
 class TestSchedule:

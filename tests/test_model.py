@@ -312,14 +312,20 @@ class TestExpansionCap:
         # both sides count: 4 + 4 + 4 = 12
         with pytest.raises(ValueError, match="more than 10 term products"):
             normalize(Mul(s, s), "=", Mul(s, Mul(s, s)))
-        # the budget is per call, so parse may use it for every constraint
+        # each call has a budget of its own
+        for _ in range(3):
+            normalize(Mul(Mul(s, s), s), "=", Lit(0))
+
+    def test_one_budget_per_problem_file(self, monkeypatch):
+        monkeypatch.setattr(model, "_MAX_PRODUCTS", 20)
+        decls = "var a in [0..1]; var b in [0..1];\n"
         body = "constraint (a+b)*(a+b)*(a+b) = 0;\n"
-        csp = parse("var a in [0..1]; var b in [0..1];\n" + body * 3)
-        assert len(csp.constraints) == 3
-        with pytest.raises(ParseError, match=r"line 3, col 1: .* more "
-                           r"than 10 term products"):
-            parse("var a in [0..1]; var b in [0..1];\n" + body
-                  + "constraint (a+b)*(a+b)*(a+b)*(a+b) = 0;")
+        # 10 products each: two constraints reach the budget, a third
+        # passes it although it stays under the budget on its own
+        assert len(parse(decls + body * 2).constraints) == 2
+        with pytest.raises(ParseError, match=r"line 4, col 1: .* more "
+                           r"than 20 term products"):
+            parse(decls + body * 3)
 
     def test_long_expansion_is_rejected(self):
         # (1 + x + ... + x^1000) squared: 1001**2 term products, 2001
