@@ -7,11 +7,12 @@ Examples::
     intprop --problem file:puzzle.csp --compare --stats csv
     intprop --problem opt --variant du --print-solutions
 
-Exit status: 0 on success, also when ``--max-nodes`` truncated a search
-(a warning goes to stderr); 1 when a complete search proves that the
-problem to maximize has no solution; 2 on usage or input errors: bad
-options, an unreadable, malformed or oversized problem, a variable that
-stays unbounded, or a propagation that exceeds its step limit.
+Exit status: 0 on success, also when ``--max-nodes`` or ``--time-limit``
+truncated a search (a warning goes to stderr); 1 when a complete search
+proves that the problem to maximize has no solution; 2 on usage or input
+errors: bad options, an unreadable, malformed or oversized problem, a
+variable that stays unbounded, or a propagation that exceeds its step
+limit.
 """
 
 from __future__ import annotations
@@ -119,9 +120,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                     default="table")
     ap.add_argument("--print-solutions", action="store_true")
     ap.add_argument("--max-nodes", type=int, default=None)
+    ap.add_argument("--time-limit", type=float, default=None,
+                    metavar="SECONDS",
+                    help="stop each search after this many seconds "
+                         "(the result is then incomplete)")
     ap.add_argument("--compare", action="store_true",
                     help="run every variant and report one row each")
     args = ap.parse_args(argv)
+    if args.time_limit is not None and not args.time_limit >= 0:
+        ap.error("--time-limit must be a number of seconds >= 0")
 
     try:
         csp = _load_problem(args.problem, args.n)
@@ -149,8 +156,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("intprop: %s" % e, file=sys.stderr)
             return 2
         if not stats.complete:
-            print("warning: search truncated at %d nodes (incomplete)"
-                  % stats.nodes, file=sys.stderr)
+            timed_out = args.max_nodes is None or stats.nodes < args.max_nodes
+            print("warning: %ssearch truncated at %d nodes (incomplete)"
+                  % ("time limit reached: " if timed_out else "",
+                     stats.nodes), file=sys.stderr)
         reports.append(_report(stats, extra))
 
     if args.stats == "json":
@@ -168,7 +177,7 @@ def _run(csp: CSP, goal: str, variant: str, mode: str, args):
     if goal == "maximize":
         best, value, stats = maximize(
             csp, variant=variant, division=args.division, mode=mode,
-            max_nodes=args.max_nodes)
+            max_nodes=args.max_nodes, time_limit=args.time_limit)
         if args.print_solutions and best is not None:
             print(_format_solution(csp, best) + "   objective=%d" % value)
         return stats, {"objective": value, "incumbents": stats.incumbents}
@@ -179,7 +188,8 @@ def _run(csp: CSP, goal: str, variant: str, mode: str, args):
 
     _, stats = solve_all(
         csp, variant=variant, division=args.division, mode=mode,
-        max_nodes=args.max_nodes, collect=False, on_solution=emit)
+        max_nodes=args.max_nodes, time_limit=args.time_limit,
+        collect=False, on_solution=emit)
     return stats, {}
 
 

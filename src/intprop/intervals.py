@@ -17,6 +17,16 @@ Division is one case analysis on 0 in the operands; :func:`div` (exact)
 snaps the denominator's bounds to divisors of the numerator before the
 endpoint formula, :func:`div_weak` does not.
 
+The endpoint formulas of :func:`mult` and of the quotient are classified
+by sign, after the tables of Hickey, Ju & van Emden, "Interval arithmetic:
+from principles to implementation" (JACM 2001).  Each bounded operand is
+non-negative, non-positive or straddles 0; every pair of classes names the
+corners that bound the result, so a product takes two multiplications
+(four only when both factors straddle 0) and a quotient by a zero-free
+denominator two floor divisions.  Infinite bounds take every corner, with
+infinity absorption.  :func:`exp`, :func:`root` and :func:`div_scalar`
+split on sign in the same way.
+
 Every arithmetic operation optionally takes an :class:`OpCounters` sink and
 bumps exactly one category; the lattice operations (intersection, span,
 negation) are not counted.
@@ -159,7 +169,16 @@ def _xmul(x, y):
 
 
 def mult(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
-    """Closure of the set product of two intervals."""
+    """Closure of the set product of two intervals.
+
+    Bounded operands are classified by sign (non-negative, non-positive,
+    straddling 0), and each of the nine class pairs takes the endpoint
+    products of Hickey, Ju & van Emden's multiplication table: two
+    products, except when both straddle 0, where the lower bound is the
+    lesser of the two negative corners and the upper bound the greater of
+    the two positive ones.  An infinite bound takes the four corners with
+    infinity absorption.
+    """
     if ctr is not None:
         ctr.multI += 1
     if a is None or b is None:
@@ -167,11 +186,27 @@ def mult(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval
     a0, a1 = a
     b0, b1 = b
     if a0 is not None and a1 is not None and b0 is not None and b1 is not None:
-        p = a0 * b0
-        q = a0 * b1
-        r = a1 * b0
+        if a0 >= 0:
+            if b0 >= 0:
+                return (a0 * b0, a1 * b1)
+            if b1 <= 0:
+                return (a1 * b0, a0 * b1)
+            return (a1 * b0, a1 * b1)
+        if a1 <= 0:
+            if b0 >= 0:
+                return (a0 * b1, a1 * b0)
+            if b1 <= 0:
+                return (a1 * b1, a0 * b0)
+            return (a0 * b1, a0 * b0)
+        if b0 >= 0:
+            return (a0 * b1, a1 * b1)
+        if b1 <= 0:
+            return (a1 * b0, a0 * b0)
+        p = a0 * b1
+        q = a1 * b0
+        r = a0 * b0
         s = a1 * b1
-        return (min(p, q, r, s), max(p, q, r, s))
+        return (p if p < q else q, r if r > s else s)
     xa0 = -_INF if a0 is None else a0
     xa1 = _INF if a1 is None else a1
     xb0 = -_INF if b0 is None else b0
@@ -280,18 +315,24 @@ def _fdivx(x, y):
 
 
 def _endpoint_div(a0, a1, c, d) -> Interval:
-    # [ceil(min A) .. floor(max A)] over A = {a0/c, a0/d, a1/c, a1/d}
+    # [ceil(min A) .. floor(max A)] over A = {a0/c, a0/d, a1/c, a1/d}, for
+    # a zero-free [c..d].  With every bound finite, the sign classes of
+    # numerator and denominator name the two corners that give min A and
+    # max A, so two floor divisions do.
     if a0 is not None and a1 is not None and c is not None and d is not None:
-        p = -((-a0) // c)
-        q = -((-a0) // d)
-        r = -((-a1) // c)
-        s = -((-a1) // d)
-        lo = min(p, q, r, s)
-        p = a0 // c
-        q = a0 // d
-        r = a1 // c
-        s = a1 // d
-        hi = max(p, q, r, s)
+        if c > 0:
+            if a0 >= 0:
+                lo, hi = -((-a0) // d), a1 // c
+            elif a1 <= 0:
+                lo, hi = -((-a0) // c), a1 // d
+            else:
+                lo, hi = -((-a0) // c), a1 // c
+        elif a0 >= 0:           # d < 0 from here on
+            lo, hi = -((-a1) // d), a0 // c
+        elif a1 <= 0:
+            lo, hi = -((-a1) // c), a0 // d
+        else:
+            lo, hi = -((-a1) // d), a0 // d
         return None if lo > hi else (lo, hi)
     xa0 = -_INF if a0 is None else a0
     xa1 = _INF if a1 is None else a1
@@ -418,10 +459,14 @@ def div(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
     max |numerator| (Z when the numerator is unbounded); a zero endpoint of
     the denominator is stripped.  What is left is a zero-free denominator,
     and the endpoint formula applies after snapping its bounds to values
-    that divide some member of the numerator.  A snap that would take more
-    than ``_MAX_BLOCKS`` steps (possible past numerators of about 10**9)
-    keeps the bound it started from, which gives :func:`div_weak`'s
-    superset there.
+    that divide some member of the numerator.  With every bound finite,
+    the sign classes of the numerator (non-negative, non-positive or
+    straddling 0) and of the denominator (positive or negative) pick the
+    two corners of the least and the greatest quotient (Hickey, Ju & van
+    Emden's division table), which are rounded inwards.  A snap that would
+    take more than ``_MAX_BLOCKS`` steps (possible past numerators of about
+    10**9) keeps the bound it started from, which gives
+    :func:`div_weak`'s superset there.
     """
     if ctr is not None:
         ctr.div += 1

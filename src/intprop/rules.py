@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 from . import intervals as iv
@@ -78,6 +79,11 @@ def eval_monomial(coeff: int, pp: PowerProduct, store: DomainStore,
                     g0, g1 = g1 ** e, g0 ** e
                 else:
                     g0, g1 = 0, max(g0 ** e, g1 ** e)
+            n_mult += 1
+            if f0 >= 0 and g0 >= 0:
+                f0 = f0 * g0
+                f1 = f1 * g1
+                continue
             p = f0 * g0
             q = f0 * g1
             r = f1 * g0
@@ -88,7 +94,6 @@ def eval_monomial(coeff: int, pp: PowerProduct, store: DomainStore,
                 r, s = s, r
             f0 = p if p < r else r
             f1 = q if q > s else s
-            n_mult += 1
         if coeff > 0:
             out = (f0 * coeff, f1 * coeff)
         elif coeff == 0:
@@ -271,14 +276,17 @@ class _Residuals:
     m_k`` would not.
     """
 
-    __slots__ = ("monomials", "b", "domains_of", "terms", "blank", "snap")
+    __slots__ = ("monomials", "b", "counts", "domains_of", "terms", "blank",
+                 "snap")
 
     def __init__(self, constraint: PolynomialConstraint):
         mons = constraint.monomials
         k = len(mons)
         self.monomials = mons
         self.b = constraint.rhs
-        self.domains_of = operator.itemgetter(*sorted(constraint.vars()))
+        # the number of monomials each variable occurs in
+        self.counts = counts = Counter(v for _, pp in mons for v, _ in pp)
+        self.domains_of = operator.itemgetter(*sorted(counts))
         # (cell of m_i, coefficient, power product) for each monomial
         self.terms = tuple((2 + k + i, c, pp)
                            for i, (c, pp) in enumerate(mons))
@@ -406,8 +414,10 @@ class PolyRule(Rule):
         self.op = constraint.op
         self.divfn = iv.div_weak if division == "weak" else iv.div
         self.writes = vj
-        others = set(v for i, (_, rpp) in enumerate(mons) if i != l
-                     for v, _ in rpp)
+        # the variables of the other monomials: all but those that occur
+        # in the pivot monomial only
+        counts = self.shared.counts
+        others = set(counts).difference(v for v, _ in pp if counts[v] == 1)
         self.s_vars = tuple(v for v, _ in self.s_pp)
         reads = others.union(self.s_vars)
         if self.n_p % 2 == 0:

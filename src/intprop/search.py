@@ -29,7 +29,11 @@ increasing and the last solution is optimal.
 ``max_nodes`` truncates a search: it stops before the node that would
 exceed the budget, ``stats.complete`` is false, and both entry points
 return what was found so far (for :func:`maximize`, the last incumbent, or
-none).  Only a complete search can prove that there is no solution.
+none).  ``time_limit`` (seconds, counted from the start of the search,
+root propagation included) truncates it in the same way, before the first
+node popped after the limit; the clock is read only when a limit is set,
+and a propagation under way is not interrupted.  Only a complete search
+can prove that there is no solution.
 """
 
 from __future__ import annotations
@@ -89,7 +93,8 @@ def verify_solution(csp: CSP, assignment) -> bool:
 
 def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
                 max_nodes: Optional[int], found: Callable[[List[int]], None],
-                objective: Optional[int] = None) -> SearchStats:
+                objective: Optional[int] = None,
+                time_limit: Optional[float] = None) -> SearchStats:
     """Run one search (see the module docstring); ``found`` receives
     each accepted solution as the values of ``dec``'s user variables, and
     ``objective`` names the variable to maximize, if any."""
@@ -97,6 +102,7 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
                         mode=mode, nvar=len(dec.names),
                         n_rules=len(dec.rules))
     t0 = time.perf_counter()
+    deadline = None if time_limit is None else t0 + time_limit
     solver = Solver(dec, mode=mode)
     stats.counters = solver.counters
     store = solver.store
@@ -125,7 +131,9 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
         stack.append((None, 0, None, None))   # the root: propagated already
     while stack:
         saved, k, v, half = stack.pop()
-        if max_nodes is not None and stats.nodes >= max_nodes:
+        if ((max_nodes is not None and stats.nodes >= max_nodes)
+                or (deadline is not None
+                    and time.perf_counter() >= deadline)):
             stats.complete = False
             break
         stats.nodes += 1
@@ -168,12 +176,14 @@ def solve_all(csp: CSP, variant: str = "fe", division: str = "weak",
               collect: bool = True,
               on_solution: Optional[Callable] = None,
               dec: Optional[DecomposedCSP] = None,
+              time_limit: Optional[float] = None,
               ) -> Tuple[List[Assignment], SearchStats]:
     """Enumerate every solution of the CSP (projected onto its variables).
 
     Each reported assignment is re-checked by exact evaluation of the
     original constraints.  Statistics cover the whole run, root
-    propagation included.
+    propagation included.  ``max_nodes`` and ``time_limit`` (seconds)
+    truncate the search; ``stats.complete`` then is false.
     """
     if dec is None:
         dec = decompose(csp, variant, division)
@@ -186,13 +196,15 @@ def solve_all(csp: CSP, variant: str = "fe", division: str = "weak",
         if on_solution is not None:
             on_solution(sol)
 
-    stats = _run_search(csp, dec, mode, max_nodes, found)
+    stats = _run_search(csp, dec, mode, max_nodes, found,
+                        time_limit=time_limit)
     return solutions, stats
 
 
 def maximize(csp: CSP, objective: Optional[Expr] = None,
              variant: str = "fe", division: str = "weak",
              mode: str = "scheduled", max_nodes: Optional[int] = None,
+             time_limit: Optional[float] = None,
              ) -> Tuple[Optional[Assignment], Optional[int], SearchStats]:
     """Find the assignment maximizing the objective, by branch and bound.
 
@@ -200,8 +212,9 @@ def maximize(csp: CSP, objective: Optional[Expr] = None,
     solution the search additionally requires the objective to exceed the
     incumbent, so solutions stream in strictly increasing objective order.
     Returns (best assignment, best value, stats), which after truncation
-    are the last incumbent or ``(None, None)``; raises :class:`Infeasible`
-    when a complete search finds no solution.
+    by ``max_nodes`` or ``time_limit`` are the last incumbent or
+    ``(None, None)``; raises :class:`Infeasible` when a complete search
+    finds no solution.
     """
     if objective is None:
         objective = csp.objective
@@ -218,7 +231,8 @@ def maximize(csp: CSP, objective: Optional[Expr] = None,
         nonlocal best
         best = tuple(values[:obj_var])
 
-    stats = _run_search(csp, dec, mode, max_nodes, found, objective=obj_var)
+    stats = _run_search(csp, dec, mode, max_nodes, found, objective=obj_var,
+                        time_limit=time_limit)
     if best is None:
         if stats.complete:
             raise Infeasible("no solution satisfies the constraints")

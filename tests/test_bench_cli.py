@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -173,6 +174,27 @@ class TestCli:
         rep = json.loads(out)
         assert rep["nodes"] == 5000 and rep["complete"] is False
         assert err == "warning: search truncated at 5000 nodes (incomplete)\n"
+
+    def test_time_limit_marks_incomplete(self, tmp_path, capsys):
+        n = 10 ** 400
+        p = tmp_path / "deep.csp"
+        p.write_text("var x in [0..%d]; var y in [0..%d];\n"
+                     "constraint x + y = %d;\nsolve all;" % (n, n, n))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--time-limit", "0.3", "--stats", "json")
+        assert time.perf_counter() - t0 < 1.3
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["complete"] is False and rep["nodes"] > 0
+        assert err == ("warning: time limit reached: search truncated at "
+                       "%d nodes (incomplete)\n" % rep["nodes"])
+
+    def test_negative_time_limit_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["--problem", "sumprod", "--time-limit", "-1"])
+        assert e.value.code == 2
+        assert "--time-limit" in capsys.readouterr().err
 
     def test_unbounded_variable_is_an_input_error(self, tmp_path, capsys):
         p = tmp_path / "unbounded.csp"

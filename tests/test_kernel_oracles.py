@@ -1,0 +1,253 @@
+"""The sign-classified kernels against the sign-blind ones they replaced.
+
+``mult``, ``intervals._endpoint_div`` and the bounded loop of
+``rules.eval_monomial`` pick the corners that bound their result from the
+sign classes of the operands.  The oracles below are the kernels as they
+were before: every corner product, every floor quotient, then a min and a
+max.  The new kernels must give the same result on the grid of bounds in
+[-6..6] or infinite, on random big-integer bounds, on every pair of sign
+classes, and (``eval_monomial``) with the same operation counts.
+"""
+
+import math
+import random
+
+from intprop import intervals, rules
+from intprop.intervals import OpCounters, div, div_weak, mult
+
+_INF = math.inf
+
+
+def mult_oracle(a, b):
+    if a is None or b is None:
+        return None
+    a0, a1 = a
+    b0, b1 = b
+    if a0 is not None and a1 is not None and b0 is not None and b1 is not None:
+        p, q, r, s = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+        return (min(p, q, r, s), max(p, q, r, s))
+    xa0 = -_INF if a0 is None else a0
+    xa1 = _INF if a1 is None else a1
+    xb0 = -_INF if b0 is None else b0
+    xb1 = _INF if b1 is None else b1
+    cands = [intervals._xmul(x, y) for x in (xa0, xa1) for y in (xb0, xb1)]
+    lo, hi = min(cands), max(cands)
+    return (None if lo == -_INF else lo, None if hi == _INF else hi)
+
+
+def endpoint_div_oracle(a0, a1, c, d):
+    # ceil of the least and floor of the greatest of all four quotients
+    xa0 = -_INF if a0 is None else a0
+    xa1 = _INF if a1 is None else a1
+    xc = -_INF if c is None else c
+    xd = _INF if d is None else d
+    fdiv = intervals._fdivx
+    lo = -max(fdiv(-x, y) for x in (xa0, xa1) for y in (xc, xd))
+    hi = max(fdiv(x, y) for x in (xa0, xa1) for y in (xc, xd))
+    return intervals.mk(None if lo == -_INF else lo,
+                        None if hi == _INF else hi)
+
+
+def eval_monomial_oracle(coeff, pp, store, ctr):
+    # the bounded loop takes all four corner products of every factor
+    if not pp:
+        return (coeff, coeff)
+    try:
+        v, e = pp[0]
+        f0, f1 = store[v]
+        if e > 1:
+            if e % 2 == 1 or f0 >= 0:
+                f0, f1 = f0 ** e, f1 ** e
+            elif f1 <= 0:
+                f0, f1 = f1 ** e, f0 ** e
+            else:
+                f0, f1 = 0, max(f0 ** e, f1 ** e)
+        n_mult = 0
+        n_exp = 1 if pp[0][1] > 1 else 0
+        for v, e in pp[1:]:
+            g0, g1 = store[v]
+            if e > 1:
+                n_exp += 1
+                if e % 2 == 1 or g0 >= 0:
+                    g0, g1 = g0 ** e, g1 ** e
+                elif g1 <= 0:
+                    g0, g1 = g1 ** e, g0 ** e
+                else:
+                    g0, g1 = 0, max(g0 ** e, g1 ** e)
+            p = f0 * g0
+            q = f0 * g1
+            r = f1 * g0
+            s = f1 * g1
+            if q < p:
+                p, q = q, p
+            if s < r:
+                r, s = s, r
+            f0 = p if p < r else r
+            f1 = q if q > s else s
+            n_mult += 1
+        if coeff > 0:
+            out = (f0 * coeff, f1 * coeff)
+        elif coeff == 0:
+            out = (0, 0)
+        else:
+            out = (f1 * coeff, f0 * coeff)
+        if ctr is not None:
+            ctr.exp += n_exp
+            ctr.multI += n_mult
+            ctr.multF += 1
+        return out
+    except TypeError:
+        pass
+    v, e = pp[0]
+    f = store[v] if e == 1 else intervals.exp(store[v], e, ctr)
+    for v, e in pp[1:]:
+        g = store[v] if e == 1 else intervals.exp(store[v], e, ctr)
+        f = mult_oracle(f, g)
+        if ctr is not None:
+            ctr.multI += 1
+    return intervals.scale(f, coeff, ctr)
+
+
+GRID = [None] + list(range(-6, 7))
+GRID_IVS = [(lo, hi) for lo in GRID for hi in GRID
+            if lo is None or hi is None or lo <= hi] + [None]
+
+# one interval of each sign class: non-negative, non-positive, straddling
+CLASSES = ("nonneg", "nonpos", "straddle")
+
+
+def draw_class(rng, cls, mag):
+    x, y = sorted((rng.randint(0, mag), rng.randint(0, mag)))
+    if cls == "nonneg":
+        return (x, y)
+    if cls == "nonpos":
+        return (-y, -x)
+    return (-rng.randint(1, mag), rng.randint(1, mag))
+
+
+def sign_class(a):
+    lo, hi = a
+    if lo >= 0:
+        return "nonneg"
+    return "nonpos" if hi <= 0 else "straddle"
+
+
+def big_interval(rng):
+    lo, hi = sorted(rng.randint(-10 ** rng.randint(0, 30),
+                                10 ** rng.randint(0, 30)) for _ in range(2))
+    r = rng.random()
+    if r < 0.05:
+        lo = None
+    elif r < 0.1:
+        hi = None
+    return (lo, hi)
+
+
+def with_oracle_endpoint_div(monkeypatch, op, pairs):
+    monkeypatch.setattr(intervals, "_endpoint_div", endpoint_div_oracle)
+    try:
+        return [op(a, b) for a, b in pairs]
+    finally:
+        monkeypatch.undo()
+
+
+class TestGrid:
+    PAIRS = [(a, b) for a in GRID_IVS for b in GRID_IVS]
+
+    def test_grid_size(self):
+        assert len(self.PAIRS) == 14161
+
+    def test_mult(self):
+        for a, b in self.PAIRS:
+            assert mult(a, b) == mult_oracle(a, b), (a, b)
+
+    def test_div_and_div_weak(self, monkeypatch):
+        for op in (div, div_weak):
+            got = [op(a, b) for a, b in self.PAIRS]
+            assert got == with_oracle_endpoint_div(monkeypatch, op, self.PAIRS)
+
+
+class TestRandomBigIntegers:
+    N = 100_000
+
+    def test_mult_and_div_weak(self, monkeypatch):
+        rng = random.Random(2001)
+        pairs = [(big_interval(rng), big_interval(rng)) for _ in range(self.N)]
+        for a, b in pairs:
+            assert mult(a, b) == mult_oracle(a, b), (a, b)
+        got = [div_weak(a, b) for a, b in pairs]
+        assert got == with_oracle_endpoint_div(monkeypatch, div_weak, pairs)
+
+    def test_endpoint_div_on_zero_free_denominators(self):
+        # the formula strong division applies after its snap
+        rng = random.Random(2002)
+        for _ in range(self.N):
+            a0, a1 = big_interval(rng)
+            c, d = sorted(rng.randint(1, 10 ** rng.randint(0, 30))
+                          for _ in range(2))
+            if rng.random() < 0.5:
+                c, d = -d, -c
+            assert (intervals._endpoint_div(a0, a1, c, d)
+                    == endpoint_div_oracle(a0, a1, c, d)), (a0, a1, c, d)
+
+
+class TestSignClassPairs:
+    def test_every_pair_of_classes(self, monkeypatch):
+        rng = random.Random(2003)
+        seen = set()
+        for ca in CLASSES:
+            for cb in CLASSES:
+                for mag in (3, 10 ** 4, 10 ** 30):
+                    pairs = [(draw_class(rng, ca, mag),
+                              draw_class(rng, cb, mag)) for _ in range(300)]
+                    for a, b in pairs:
+                        assert mult(a, b) == mult_oracle(a, b), (a, b)
+                        seen.add((sign_class(a), sign_class(b)))
+                    ops = (div_weak,) if mag > 10 ** 4 else (div_weak, div)
+                    for op in ops:
+                        got = [op(a, b) for a, b in pairs]
+                        assert got == with_oracle_endpoint_div(
+                            monkeypatch, op, pairs), (op, ca, cb, mag)
+        assert len(seen) == 9
+
+    def test_both_denominator_signs_of_the_endpoint_formula(self):
+        rng = random.Random(2004)
+        seen = set()
+        for ca in CLASSES:
+            for neg in (False, True):
+                for _ in range(2000):
+                    a0, a1 = draw_class(rng, ca, 10 ** rng.randint(1, 30))
+                    c, d = draw_class(rng, "nonneg", 10 ** rng.randint(1, 30))
+                    c, d = c + 1, d + 1
+                    if neg:
+                        c, d = -d, -c
+                    assert (intervals._endpoint_div(a0, a1, c, d)
+                            == endpoint_div_oracle(a0, a1, c, d)), \
+                        (a0, a1, c, d)
+                    seen.add((sign_class((a0, a1)), c < 0))
+        assert len(seen) == 6
+
+
+class TestEvalMonomial:
+    def test_random_monomials_on_mixed_sign_stores(self):
+        rng = random.Random(2005)
+        nvars = 6
+        for _ in range(20000):
+            store = []
+            for _ in range(nvars):
+                r = rng.random()
+                if r < 0.1:
+                    store.append(big_interval(rng))
+                else:
+                    cls = CLASSES[0] if r < 0.6 else rng.choice(CLASSES)
+                    mag = rng.choice((2, 9, 10 ** 12))
+                    store.append(draw_class(rng, cls, mag))
+            vs = sorted(rng.sample(range(nvars), rng.randint(0, 4)))
+            pp = tuple((v, rng.choice((1, 1, 2, 3))) for v in vs)
+            coeff = rng.choice((-3, -1, 0, 1, 2, 7))
+            got_ctr, want_ctr = OpCounters(), OpCounters()
+            got = rules.eval_monomial(coeff, pp, store, got_ctr)
+            want = eval_monomial_oracle(coeff, pp, store, want_ctr)
+            assert got == want, (coeff, pp, store)
+            assert got_ctr.as_dict() == want_ctr.as_dict(), (coeff, pp, store)
+            assert rules.eval_monomial(coeff, pp, store, None) == want

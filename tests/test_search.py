@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -296,6 +297,40 @@ class TestDeepSearch:
         assert stats.nodes == 5000 and not stats.complete
         x, y = best
         assert x + y == self.N and x - 2 * y == val == stats.incumbents[-1]
+
+
+class TestTimeLimit:
+    """A search of 10^400 solutions cannot finish: a time limit stops it
+    soon after the limit, as a node budget would."""
+
+    TEXT = TestDeepSearch.TEXT
+    LIMIT = 0.3
+
+    def test_solve_all_stops_near_the_limit(self):
+        t0 = time.perf_counter()
+        sols, stats = solve_all(parse(self.TEXT), time_limit=self.LIMIT)
+        took = time.perf_counter() - t0
+        assert not stats.complete and stats.nodes > 0
+        assert self.LIMIT <= stats.elapsed and took < self.LIMIT + 1.0
+        assert sols and all(x + y == TestDeepSearch.N for x, y in sols)
+
+    def test_maximize_keeps_the_last_incumbent(self):
+        t0 = time.perf_counter()
+        best, val, stats = maximize(parse(self.TEXT), time_limit=self.LIMIT)
+        assert time.perf_counter() - t0 < self.LIMIT + 1.0
+        assert not stats.complete and self.LIMIT <= stats.elapsed
+        x, y = best
+        assert x - 2 * y == val == stats.incumbents[-1]
+
+    def test_maximize_without_incumbent_is_not_infeasible(self):
+        best, val, stats = maximize(opt(200), variant="fm", time_limit=0)
+        assert (best, val) == (None, None)
+        assert not stats.complete and stats.nodes == 0
+
+    def test_a_search_within_the_limit_is_complete(self):
+        sols, stats = solve_all(sumprod(6), time_limit=60.0)
+        assert stats.complete
+        assert sols == solve_all(sumprod(6))[0]
 
 
 class TestChecksUnderOptimize:
