@@ -111,7 +111,8 @@ BENCHMARKS = {
 
 
 def build_benchmark(name: str, n: int = None) -> CSP:
-    """Instantiate a named benchmark; ``n`` scales all but ``fractions``."""
+    """Instantiate a named benchmark; ``n`` scales all but ``fractions``,
+    and is at least 2 for ``kyoto`` (its least base) and 1 for the others."""
     if name not in BENCHMARKS:
         raise KeyError("unknown benchmark %r (have: %s)"
                        % (name, ", ".join(sorted(BENCHMARKS))))
@@ -119,4 +120,8 @@ def build_benchmark(name: str, n: int = None) -> CSP:
         return BENCHMARKS[name]()
     if name == "fractions":
         raise ValueError("fractions takes no size")
+    least = 2 if name == "kyoto" else 1
+    if n < least:
+        raise ValueError("%s takes a size of at least %d, not %d"
+                         % (name, least, n))
     return BENCHMARKS[name](n)

@@ -127,6 +127,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--compare", action="store_true",
                     help="run every variant and report one row each")
     args = ap.parse_args(argv)
+    if args.max_nodes is not None and args.max_nodes < 0:
+        ap.error("--max-nodes must be a number of nodes >= 0")
     if args.time_limit is not None and not args.time_limit >= 0:
         ap.error("--time-limit must be a number of seconds >= 0")
 

@@ -38,9 +38,12 @@ applied without counting in definition order, so the rules are the one
 place where a definition is evaluated.  With an empty user domain the
 problem is infeasible and no initial domain is computed.
 
-The generated schedule visits, for every rule of a user constraint, the
-definitions of the auxiliaries it reads bottom-up, then the rule, then the
-rules propagating a written auxiliary back down its definition tree.
+Each definition's rules follow one another, its forward rule first, and
+the forward rule reads exactly the definition's arguments.  The generated
+schedule follows those ``reads``: for every rule of a user constraint it
+visits the definitions of the auxiliaries it reads bottom-up, then the
+rule, then the rules propagating a written auxiliary back down its
+definition tree.
 """
 
 from __future__ import annotations
@@ -72,13 +75,6 @@ class AuxDef:
     pp: PowerProduct = ()          # kind == "pp": the defining power product
     args: Tuple[int, ...] = ()     # "mul": (u, v); "pow": (y, n)
 
-    def inputs(self) -> Tuple[int, ...]:
-        if self.kind == "pp":
-            return tuple(v for v, _ in self.pp)
-        if self.kind == "mul":
-            return self.args
-        return (self.args[0],)
-
 
 @dataclass
 class DecomposedCSP:
@@ -90,7 +86,7 @@ class DecomposedCSP:
     constraints: List[Constraint]   # aux definitions first, then users
     aux_defs: List[AuxDef]
     rules: List[Rule]
-    user_rule_indices: List[int]
+    user_rule_indices: Sequence[int]
     readers: List[List[int]]
     schedule: List[int]
     branch_order: List[int]
@@ -266,46 +262,48 @@ def def_constraint(d: AuxDef) -> Constraint:
     return PowerAtom(d.var, d.args[0], d.args[1])
 
 
-def _generate_schedule(rules: List[Rule], user_rule_indices: List[int],
-                       fwd_rule: Dict[int, int],
-                       bwd_rules: Dict[int, List[int]],
-                       aux_inputs: Dict[int, Tuple[int, ...]]) -> List[int]:
+def _generate_schedule(rules: List[Rule], user_rule_indices: Sequence[int],
+                       def_rules: Dict[int, range]) -> List[int]:
+    """``def_rules`` maps each auxiliary to the indices of its definition's
+    rules, forward rule first; the forward rule reads the arguments."""
     schedule: List[int] = []
-    aux_vars = set(fwd_rule) | set(bwd_rules)
     for f in user_rule_indices:
         rule = rules[f]
-        fragment: List[int] = []
-        seen = set()
-
-        def fwd(a):
-            for dep in aux_inputs.get(a, ()):
-                if dep in aux_vars:
-                    fwd(dep)
-            ri = fwd_rule.get(a)
-            if ri is not None and ri not in seen:
-                seen.add(ri)
-                fragment.append(ri)
-
-        def bwd(a):
-            for ri in bwd_rules.get(a, ()):
-                if ri not in seen:
-                    seen.add(ri)
-                    fragment.append(ri)
-            for dep in aux_inputs.get(a, ()):
-                if dep in aux_vars:
-                    bwd(dep)
-
-        for a in sorted(v for v in rule.reads if v in aux_vars):
-            fwd(a)
-        fragment.append(f)
-        if rule.writes in aux_vars:
-            bwd(rule.writes)
+        fragment: Dict[int, None] = {}   # the rules in first-visit order
+        for a in sorted(v for v in rule.reads if v in def_rules):
+            _forward(a, rules, def_rules, fragment)
+        fragment[f] = None
+        if rule.writes in def_rules:
+            _backward(rule.writes, rules, def_rules, fragment)
         schedule.extend(fragment)
     present = set(schedule)
     for i in range(len(rules)):
         if i not in present:
             schedule.append(i)
     return schedule
+
+
+# module functions, not closures: a recursive closure is a reference cycle,
+# which would keep the rules alive until the next garbage collection
+def _forward(a, rules, def_rules, fragment):
+    """Add to ``fragment`` the forward rules defining auxiliary ``a``,
+    those of its arguments first."""
+    first = def_rules[a][0]
+    for dep in rules[first].reads:
+        if dep in def_rules:
+            _forward(dep, rules, def_rules, fragment)
+    fragment.setdefault(first)
+
+
+def _backward(a, rules, def_rules, fragment):
+    """Add to ``fragment`` the rules propagating auxiliary ``a`` back
+    down its definition tree."""
+    r = def_rules[a]
+    for ri in r[1:]:
+        fragment.setdefault(ri)
+    for dep in rules[r[0]].reads:
+        if dep in def_rules:
+            _backward(dep, rules, def_rules, fragment)
 
 
 def decompose(csp: CSP, variant: str, division: str = "weak",
@@ -349,34 +347,23 @@ def decompose(csp: CSP, variant: str, division: str = "weak",
                  for c, ts in zip(kept, targets)]
     domains = list(csp.domains) + [(None, None)] * len(defs)
 
-    optimized = variant == "do"
     rules: List[Rule] = []
-    fwd_rule: Dict[int, int] = {}
-    bwd_rules: Dict[int, List[int]] = {}
-    aux_inputs: Dict[int, Tuple[int, ...]] = {}
-    def_constraints: List[Constraint] = []
-    for d in defs:
-        dc = def_constraint(d)
-        def_constraints.append(dc)
-        sub_rules = build_rules([dc], division, optimized=False)
+    def_rules: Dict[int, range] = {}
+    def_constraints = [def_constraint(d) for d in defs]
+    for d, dc in zip(defs, def_constraints):
         base = len(rules)
-        rules.extend(sub_rules)
-        assert sub_rules[0].writes == d.var
+        rules.extend(build_rules([dc], division))
+        def_rules[d.var] = range(base, len(rules))
+        assert rules[base].writes == d.var
         if not empty:
             # the initial domain is the image of the forward rule
-            sub_rules[0].apply(domains, None)
-        fwd_rule[d.var] = base
-        bwd_rules[d.var] = list(range(base + 1, base + len(sub_rules)))
-        aux_inputs[d.var] = d.inputs()
-    user_rule_indices: List[int] = []
-    for c in users:
-        sub_rules = build_rules([c], division, optimized=optimized)
-        user_rule_indices.extend(range(len(rules), len(rules) + len(sub_rules)))
-        rules.extend(sub_rules)
+            rules[base].apply(domains, None)
+    n_def_rules = len(rules)
+    rules.extend(build_rules(users, division, optimized=variant == "do"))
+    user_rule_indices = range(n_def_rules, len(rules))
 
     readers = readers_index(rules, len(names))
-    schedule = _generate_schedule(rules, user_rule_indices, fwd_rule,
-                                  bwd_rules, aux_inputs)
+    schedule = _generate_schedule(rules, user_rule_indices, def_rules)
     excluded = set(branch_exclude)
     branch_order = [v for v in range(n_user) if v not in excluded]
     branch_order += [d.var for d in defs]

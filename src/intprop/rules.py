@@ -21,7 +21,19 @@ Rule families:
   rational arithmetic,
 * the three multiplication rules for ``x*y = z`` (with a weak-division
   option), exponentiation/root extraction for ``x = y**n``,
-* bound-trimming disequality rules.
+* bound-trimming disequality rules, and a general disequality check that
+  waits until every variable it reads is fixed and then evaluates the
+  constraint exactly with :func:`~intprop.model.check_assignment`.
+
+Each narrowing step is written once and shared: :func:`_narrow`
+intersects the written domain with a result, or with the parts of its
+``n``-th root (``PolyRule`` and ``RootXRule``); :func:`_exclude` trims a
+forbidden value off a bound (both bound-trimming disequality rules); and
+:func:`_unbounded_residue` sums a linear residue in interval arithmetic
+when a bound is infinite (both linear rules).  ``_narrow`` and
+``_exclude`` take the variable to narrow rather than the rule: the
+interpreter cannot specialize an attribute load in code that rules of
+many classes share.
 
 Updates always intersect with the current domain, so every rule is a
 contraction, and monotone interval operations make the common fixpoint
@@ -43,6 +55,7 @@ from .model import (
     PowerAtom,
     PowerProduct,
     TrivialConstraint,
+    check_assignment,
 )
 from .rationals import q_add, q_div, q_of, q_to_halfline, q_to_interval
 
@@ -115,6 +128,25 @@ def eval_monomial(coeff: int, pp: PowerProduct, store: DomainStore,
     return iv.scale(f, coeff, ctr)
 
 
+def _narrow(store, w, q, n=1, ctr=None):
+    """Narrow ``w`` to its values whose ``n``-th power lies in ``q``: its
+    domain's intersection with ``q``, or the hull of its intersections
+    with the parts of the ``n``-th root of ``q``."""
+    dv = store[w]
+    if n == 1:
+        nd = iv.intersect(dv, q)
+    else:
+        nd = None
+        for part in iv.root(q, n, ctr):
+            p = iv.intersect(dv, part)
+            if p is not None:
+                nd = iv.span(nd, p)
+    if nd == dv:
+        return UNCHANGED
+    store[w] = nd
+    return w
+
+
 class Rule:
     """Base descriptor; subclasses fill reads/writes and apply."""
 
@@ -125,12 +157,6 @@ class Rule:
     def apply(self, store: DomainStore, ctr: Optional[OpCounters]) -> int:
         raise NotImplementedError
 
-    def _finish(self, store, dv, nd, vj):
-        if nd == dv:
-            return UNCHANGED
-        store[vj] = nd
-        return vj
-
     def __repr__(self):
         return "%s(writes=x%d, reads=%s)" % (
             self.variant, self.writes, ",".join("x%d" % r for r in self.reads))
@@ -139,15 +165,14 @@ class Rule:
 class LinearEqRule(Rule):
     """Isolate one variable of `sum a_i*x_i = b` and divide the residue."""
 
-    __slots__ = ("others", "aj", "vj", "b")
+    __slots__ = ("others", "aj", "b")
 
     variant = "LinearEq"
 
     def __init__(self, coeffs: Sequence[Tuple[int, int]], b: int, j: int):
         self.others = tuple(av for i, av in enumerate(coeffs) if i != j)
-        self.aj, self.vj = coeffs[j]
+        self.aj, self.writes = coeffs[j]
         self.b = b
-        self.writes = self.vj
         self.reads = tuple(v for _, v in self.others)
 
     def apply(self, store, ctr):
@@ -168,18 +193,14 @@ class LinearEqRule(Rule):
                 ctr.multF += n
                 ctr.sum += n
         except TypeError:
-            acc = (self.b, self.b)
-            for a, v in others:
-                acc = iv.sub(acc, iv.scale(store[v], a, ctr), ctr)
-        q = iv.div_scalar(acc, self.aj, ctr)
-        dv = store[self.vj]
-        return self._finish(store, dv, iv.intersect(dv, q), self.vj)
+            acc = _unbounded_residue(self, store, ctr)
+        return _narrow(store, self.writes, iv.div_scalar(acc, self.aj, ctr))
 
 
 class LinearIneqRule(Rule):
     """Isolate one variable of `sum a_i*x_i <= b` via half-line division."""
 
-    __slots__ = ("others", "aj", "vj", "b")
+    __slots__ = ("others", "aj", "b")
 
     variant = "LinearIneq"
 
@@ -198,13 +219,18 @@ class LinearIneqRule(Rule):
                 ctr.multF += n
                 ctr.sum += n
         except TypeError:
-            acc = (self.b, self.b)
-            for a, v in others:
-                acc = iv.sub(acc, iv.scale(store[v], a, ctr), ctr)
-            hi = acc[1]
-        q = iv.div_scalar((None, hi), self.aj, ctr)
-        dv = store[self.vj]
-        return self._finish(store, dv, iv.intersect(dv, q), self.vj)
+            hi = _unbounded_residue(self, store, ctr)[1]
+        return _narrow(store, self.writes,
+                       iv.div_scalar((None, hi), self.aj, ctr))
+
+
+def _unbounded_residue(rule, store, ctr):
+    """``b`` minus the other terms of a linear rule, in interval
+    arithmetic, for stores where one of them has an infinite bound."""
+    acc = (rule.b, rule.b)
+    for a, v in rule.others:
+        acc = iv.sub(acc, iv.scale(store[v], a, ctr), ctr)
+    return acc
 
 
 def _simplified_groups(monomials, l, b, s_coeff, s_pp):
@@ -446,7 +472,7 @@ class PolyRule(Rule):
             q = self.divfn(acc, siv, ctr)
         else:
             q = iv.div_scalar(acc, self.s_coeff, ctr)
-        return self._root_and_intersect(store, q, ctr)
+        return _narrow(store, self.vj, q, self.n_p, ctr)
 
     def _apply_fractions(self, store, ctr):
         qsum = None
@@ -471,57 +497,35 @@ class PolyRule(Rule):
             q = q_to_halfline(qsum, "le" if positive else "ge")
         else:
             q = q_to_interval(qsum)
-        return self._root_and_intersect(store, q, ctr)
-
-    def _root_and_intersect(self, store, q, ctr):
-        vj = self.vj
-        dv = store[vj]
-        if self.n_p == 1:
-            nd = iv.intersect(dv, q)
-        else:
-            nd = None
-            for part in iv.root(q, self.n_p, ctr):
-                p = iv.intersect(dv, part)
-                if p is not None:
-                    nd = iv.span(nd, p)
-        return self._finish(store, dv, nd, vj)
+        return _narrow(store, self.vj, q, self.n_p, ctr)
 
 
 class MultRule(Rule):
-    """One of the three reduction directions of `x*y = z`."""
+    """One of the three reduction directions of `x*y = z`: kind 1 bounds z
+    by ``x*y``, kind 2 x by ``z/y``, kind 3 y by ``z/x``.  The kernel
+    ``fn`` and its operands ``a``, ``b`` are fixed when the rule is built."""
 
-    __slots__ = ("kind", "x", "y", "z", "divfn")
+    __slots__ = ("kind", "fn", "a", "b")
 
     def __init__(self, kind: int, x: int, y: int, z: int,
                  division: str = "weak"):
         self.kind = kind
-        self.x = x
-        self.y = y
-        self.z = z
-        self.divfn = iv.div_weak if division == "weak" else iv.div
         if kind == 1:
-            self.writes, self.reads = z, (x, y)
-        elif kind == 2:
-            self.writes, self.reads = x, (y, z)
+            self.fn, self.a, self.b, self.writes = iv.mult, x, y, z
+            self.reads = (x, y)
         else:
-            self.writes, self.reads = y, (x, z)
+            self.fn = iv.div_weak if division == "weak" else iv.div
+            self.a, self.b, self.writes = (z, y, x) if kind == 2 else (z, x, y)
+            self.reads = (self.b, z)
 
     @property
     def variant(self):
-        w = "w" if self.divfn is iv.div_weak and self.kind != 1 else ""
+        w = "w" if self.fn is iv.div_weak else ""
         return "Mult%d%s" % (self.kind, w)
 
     def apply(self, store, ctr):
-        k = self.kind
-        if k == 1:
-            q = iv.mult(store[self.x], store[self.y], ctr)
-        elif k == 2:
-            q = self.divfn(store[self.z], store[self.y], ctr)
-        else:
-            q = self.divfn(store[self.z], store[self.x], ctr)
-        w = self.writes
-        dv = store[w]
-        return self._finish(store, dv, iv.intersect(dv, q), w)
+        return _narrow(store, self.writes,
+                       self.fn(store[self.a], store[self.b], ctr))
 
 
 class ExpoRule(Rule):
@@ -539,9 +543,7 @@ class ExpoRule(Rule):
         self.reads = (y,)
 
     def apply(self, store, ctr):
-        dv = store[self.x]
-        nd = iv.intersect(dv, iv.exp(store[self.y], self.n, ctr))
-        return self._finish(store, dv, nd, self.x)
+        return _narrow(store, self.x, iv.exp(store[self.y], self.n, ctr))
 
 
 class RootXRule(Rule):
@@ -559,13 +561,7 @@ class RootXRule(Rule):
         self.reads = (x, y) if n % 2 == 0 else (x,)
 
     def apply(self, store, ctr):
-        dv = store[self.y]
-        nd = None
-        for part in iv.root(store[self.x], self.n, ctr):
-            p = iv.intersect(dv, part)
-            if p is not None:
-                nd = iv.span(nd, p)
-        return self._finish(store, dv, nd, self.y)
+        return _narrow(store, self.y, store[self.x], self.n, ctr)
 
 
 class DiseqVarVarRule(Rule):
@@ -588,19 +584,7 @@ class DiseqVarVarRule(Rule):
         do = store[self.other]
         if do[0] is None or do[0] != do[1]:
             return UNCHANGED
-        forbid = do[0] + self.shift
-        dv = store[self.target]
-        if dv == (forbid, forbid):
-            store[self.target] = None
-            return self.target
-        if dv[0] == forbid:
-            nd = (forbid + 1, dv[1])
-        elif dv[1] == forbid:
-            nd = (dv[0], forbid - 1)
-        else:
-            return UNCHANGED
-        store[self.target] = nd
-        return self.target
+        return _exclude(store, self.target, do[0] + self.shift)
 
 
 class DiseqVarConstRule(Rule):
@@ -617,49 +601,48 @@ class DiseqVarConstRule(Rule):
         self.reads = (x,)
 
     def apply(self, store, ctr):
-        c = self.c
-        dv = store[self.x]
-        if dv == (c, c):
-            store[self.x] = None
-            return self.x
-        if dv[0] == c:
-            nd = (c + 1, dv[1])
-        elif dv[1] == c:
-            nd = (dv[0], c - 1)
-        else:
-            return UNCHANGED
-        store[self.x] = nd
-        return self.x
+        return _exclude(store, self.x, self.c)
+
+
+def _exclude(store, x, c):
+    """Trim ``c`` off the bounds of ``x``'s domain: a bound equal to ``c``
+    moves one step inwards, and the singleton ``c`` becomes empty."""
+    dv = store[x]
+    if dv[0] == c:
+        nd = None if dv[1] == c else (c + 1, dv[1])
+    elif dv[1] == c:
+        nd = (dv[0], c - 1)
+    else:
+        return UNCHANGED
+    store[x] = nd
+    return x
 
 
 class DiseqCheckRule(Rule):
-    """General disequality, decided only once all variables are fixed."""
+    """General disequality, decided by :func:`check_assignment` once every
+    variable it reads is fixed."""
 
-    __slots__ = ("monomials", "b")
+    __slots__ = ("constraint",)
 
     variant = "Diseq"
 
     def __init__(self, constraint: PolynomialConstraint):
-        self.monomials = constraint.monomials
-        self.b = constraint.rhs
+        self.constraint = constraint
         vs = tuple(sorted(constraint.vars()))
         self.reads = vs
         self.writes = vs[0]
 
     def apply(self, store, ctr):
-        total = 0
-        for c, pp in self.monomials:
-            t = c
-            for v, e in pp:
-                d = store[v]
-                if d[0] is None or d[0] != d[1]:
-                    return UNCHANGED
-                t *= d[0] ** e
-            total += t
-        if total == self.b:
-            store[self.writes] = None
-            return self.writes
-        return UNCHANGED
+        values = {}
+        for v in self.reads:
+            d = store[v]
+            if d[0] is None or d[0] != d[1]:
+                return UNCHANGED
+            values[v] = d[0]
+        if check_assignment(self.constraint, values):
+            return UNCHANGED
+        store[self.writes] = None
+        return self.writes
 
 
 def _diseq_rules(c: PolynomialConstraint) -> List[Rule]:

@@ -44,6 +44,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .decompose import DecomposedCSP, decompose
 from .engine import FIXPOINT, Solver
+from . import intervals as iv
 from .intervals import OpCounters
 from .model import CSP, Expr, Var, check_origin, normalize
 
@@ -143,11 +144,9 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
             seeds = [v]
             failed = False
             if incumbents:
-                bound = incumbents[-1] + 1
                 dc = store[objective]
-                if dc is not None and (dc[0] is None or dc[0] < bound):
-                    nd = None if dc[1] is not None and dc[1] < bound \
-                        else (bound, dc[1])
+                nd = iv.intersect(dc, (incumbents[-1] + 1, None))
+                if nd != dc:
                     store[objective] = nd
                     seeds.append(objective)
                     failed = nd is None

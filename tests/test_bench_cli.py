@@ -66,6 +66,16 @@ class TestBenchmarkShapes:
         with pytest.raises(ValueError, match="fractions takes no size"):
             build_benchmark("fractions", 5)
 
+    @pytest.mark.parametrize("name, least", [("cubes", 1), ("opt", 1),
+                                             ("kyoto", 2), ("sumprod", 1)])
+    def test_size_below_the_least(self, name, least):
+        assert build_benchmark(name, least).names
+        for n in (least - 1, -3):
+            with pytest.raises(ValueError) as e:
+                build_benchmark(name, n)
+            assert str(e.value) == ("%s takes a size of at least %d, not %d"
+                                    % (name, least, n))
+
 
 class TestCli:
     def test_json_stats(self, capsys):
@@ -196,6 +206,13 @@ class TestCli:
         assert e.value.code == 2
         assert "--time-limit" in capsys.readouterr().err
 
+    def test_negative_max_nodes_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["--problem", "sumprod", "--n", "6", "--max-nodes", "-5"])
+        assert e.value.code == 2
+        assert "--max-nodes must be a number of nodes >= 0" in \
+            capsys.readouterr().err
+
     def test_unbounded_variable_is_an_input_error(self, tmp_path, capsys):
         p = tmp_path / "unbounded.csp"
         p.write_text("var x in Z; solve all;")
@@ -209,6 +226,16 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert err == "intprop: fractions takes no size\n"
+
+    @pytest.mark.parametrize("name, n, least", [("sumprod", -3, 1),
+                                                ("kyoto", 1, 2)])
+    def test_size_below_the_least_is_an_input_error(self, capsys, name, n,
+                                                    least):
+        code, out, err = run_cli(capsys, "--problem", name, "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert err == ("intprop: %s takes a size of at least %d, not %d\n"
+                       % (name, least, n))
 
     def test_table_and_csv_headers(self, capsys):
         args = ("--problem", "sumprod", "--n", "7", "--variant", "fe")
