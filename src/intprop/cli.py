@@ -102,6 +102,20 @@ def _load_problem(spec: str, n: Optional[int]) -> CSP:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # solutions, objectives and incumbents are printed at any size: lift
+    # the interpreter's cap on int-to-str conversion (3.10.7 and later)
+    # while this command runs
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
+def _main(argv: Optional[List[str]]) -> int:
     ap = argparse.ArgumentParser(
         prog="intprop",
         description="Constraint propagation solver for polynomial "

@@ -13,6 +13,13 @@ auxiliary definitions around each user rule, so decomposed problems reach
 their fixpoint with far fewer applications.  Both orders end in the same
 store: the rules are contracting and monotone, so the greatest common
 fixpoint is unique.
+
+The loop is the solver's hottest path, so it does little per application:
+it calls each rule through a list of bound ``apply`` methods that
+:class:`Solver` builds once, and keeps the pending count in a local that
+it writes back to ``n_pending`` on every way out (fixpoint, wipe-out or
+:class:`PropagationLimit`).  Since the list is built in ``__init__``, a
+solver calls whatever ``apply`` a rule class has when the solver is built.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ class Solver:
         if mode not in ("scheduled", "cycle"):
             raise ValueError("mode must be 'scheduled' or 'cycle'")
         self.rules = decomposed.rules
+        self._applies = [r.apply for r in self.rules]
         self.readers = decomposed.readers
         self.store = list(decomposed.domains)
         self.order = (decomposed.schedule if mode == "scheduled"
@@ -82,37 +90,37 @@ class Solver:
         if changed is not None:
             for v in changed:
                 self.note_change(v)
-        rules = self.rules
+        applies = self._applies
         readers = self.readers
         store = self.store
         ctr = self.counters
         pending = self.pending
+        np = self.n_pending
         apps = self.applications
         eff = self.effective
         limit = self.step_limit
         try:
-            while self.n_pending:
+            while np:
                 for i in self.order:
                     if pending[i]:
                         pending[i] = 0
-                        self.n_pending -= 1
+                        np -= 1
                         apps += 1
-                        w = rules[i].apply(store, ctr)
+                        w = applies[i](store, ctr)
                         if w >= 0:
                             if store[w] is None:
                                 return w
                             eff += 1
-                            np = self.n_pending
                             for r in readers[w]:
                                 if not pending[r]:
                                     pending[r] = 1
                                     np += 1
-                            self.n_pending = np
                 if apps > limit:
                     raise PropagationLimit(
                         "more than %d rule applications" % limit)
             return FIXPOINT
         finally:
+            self.n_pending = np
             self.applications = apps
             self.effective = eff
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Dict, List, Optional, Tuple, Union
 
 from .intervals import Interval
@@ -430,6 +431,10 @@ _MAX_NESTING = 100
 # scripts' digits, which int() rejects or reads as their value
 _DIGITS = "0123456789"
 
+# the longest integer literal: CPython's default cap on int(str), fixed here
+# so that what parses does not depend on the interpreter's setting
+_MAX_DIGITS = 4300
+
 
 def _tokenize(text: str):
     tokens = []
@@ -455,7 +460,14 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(text[i:j]), line, col))
+            if j - i > _MAX_DIGITS:
+                raise ParseError("an integer literal has at most %d digits"
+                                 % _MAX_DIGITS, line, col)
+            # the interpreter's cap on int(str) is at least 640 digits;
+            # Decimal converts at any cap
+            lit = text[i:j]
+            tokens.append(("int", int(lit) if j - i <= 640
+                           else int(Decimal(lit)), line, col))
             col += j - i
             i = j
             continue

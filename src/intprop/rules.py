@@ -27,13 +27,21 @@ Rule families:
 
 Each narrowing step is written once and shared: :func:`_narrow`
 intersects the written domain with a result, or with the parts of its
-``n``-th root (``PolyRule`` and ``RootXRule``); :func:`_exclude` trims a
-forbidden value off a bound (both bound-trimming disequality rules); and
-:func:`_unbounded_residue` sums a linear residue in interval arithmetic
-when a bound is infinite (both linear rules).  ``_narrow`` and
-``_exclude`` take the variable to narrow rather than the rule: the
-interpreter cannot specialize an attribute load in code that rules of
-many classes share.
+``n``-th root (``PolyRule`` and ``RootXRule``), and reports a domain
+unchanged when both bounds it keeps are the domain's own objects;
+:func:`_exclude` trims a forbidden value off a bound (both bound-trimming
+disequality rules); and :func:`_unbounded_residue` sums a linear residue
+in interval arithmetic when a bound is infinite (both linear rules).
+``_narrow`` and ``_exclude`` take the variable to narrow rather than the
+rule: the interpreter cannot specialize an attribute load in code that
+rules of many classes share.
+
+The linear rules, the most frequent rules of a full decomposition, are
+the one exception.  With every bound finite, ``LinearEqRule`` divides its
+residue by ``a_j`` and narrows in place, and ``LinearIneqRule`` divides
+its half-line before it calls ``_narrow``.  Both count the operations
+``intervals.div_scalar`` would: ``a_j = ±1`` as ``multF``, any other as
+``div``.  ``_narrow`` stays the narrowing routine of every other rule.
 
 Updates always intersect with the current domain, so every rule is a
 contraction, and monotone interval operations make the common fixpoint
@@ -134,13 +142,28 @@ def _narrow(store, w, q, n=1, ctr=None):
     with the parts of the ``n``-th root of ``q``."""
     dv = store[w]
     if n == 1:
-        nd = iv.intersect(dv, q)
-    else:
-        nd = None
-        for part in iv.root(q, n, ctr):
-            p = iv.intersect(dv, part)
-            if p is not None:
-                nd = iv.span(nd, p)
+        if q is None:
+            store[w] = None
+            return w
+        # iv.intersect inline; a bound kept from ``dv`` is the same object
+        d0, d1 = dv
+        lo, hi = q
+        if lo is None or (d0 is not None and d0 >= lo):
+            lo = d0
+        if hi is None or (d1 is not None and d1 <= hi):
+            hi = d1
+        if lo is d0 and hi is d1:
+            return UNCHANGED
+        if lo is not None and hi is not None and lo > hi:
+            store[w] = None
+        else:
+            store[w] = (lo, hi)
+        return w
+    nd = None
+    for part in iv.root(q, n, ctr):
+        p = iv.intersect(dv, part)
+        if p is not None:
+            nd = iv.span(nd, p)
     if nd == dv:
         return UNCHANGED
     store[w] = nd
@@ -177,6 +200,7 @@ class LinearEqRule(Rule):
 
     def apply(self, store, ctr):
         others = self.others
+        aj = self.aj
         try:
             lo = hi = self.b
             for a, v in others:
@@ -187,14 +211,36 @@ class LinearEqRule(Rule):
                 else:
                     lo -= d0 * a
                     hi -= d1 * a
-            acc = (lo, hi)
-            if ctr is not None:
-                n = len(others)
-                ctr.multF += n
-                ctr.sum += n
         except TypeError:
-            acc = _unbounded_residue(self, store, ctr)
-        return _narrow(store, self.writes, iv.div_scalar(acc, self.aj, ctr))
+            return _narrow(store, self.writes, iv.div_scalar(
+                _unbounded_residue(self, store, ctr), aj, ctr))
+        # iv.div_scalar and _narrow inline, with the same op counts
+        if ctr is not None:
+            n = len(others)
+            ctr.sum += n
+            if aj == 1 or aj == -1:
+                ctr.multF += n + 1
+            else:
+                ctr.multF += n
+                ctr.div += 1
+        if aj > 0:
+            if aj != 1:
+                lo = -((-lo) // aj)
+                hi //= aj
+        elif aj == -1:
+            lo, hi = -hi, -lo
+        else:
+            lo, hi = -((-hi) // aj), lo // aj
+        w = self.writes
+        d0, d1 = store[w]
+        if d0 is not None and d0 >= lo:
+            lo = d0
+        if d1 is not None and d1 <= hi:
+            hi = d1
+        if lo is d0 and hi is d1:
+            return UNCHANGED
+        store[w] = None if lo > hi else (lo, hi)
+        return w
 
 
 class LinearIneqRule(Rule):
@@ -208,20 +254,30 @@ class LinearIneqRule(Rule):
 
     def apply(self, store, ctr):
         others = self.others
+        aj = self.aj
         try:
             # only the upper end of the residue matters for <=
             hi = self.b
             for a, v in others:
                 d = store[v]
                 hi -= (d[0] if a > 0 else d[1]) * a
-            if ctr is not None:
-                n = len(others)
-                ctr.multF += n
-                ctr.sum += n
         except TypeError:
-            hi = _unbounded_residue(self, store, ctr)[1]
-        return _narrow(store, self.writes,
-                       iv.div_scalar((None, hi), self.aj, ctr))
+            return _narrow(store, self.writes, iv.div_scalar(
+                (None, _unbounded_residue(self, store, ctr)[1]), aj, ctr))
+        # iv.div_scalar inline, with the same op counts
+        if ctr is not None:
+            n = len(others)
+            ctr.sum += n
+            if aj == 1 or aj == -1:
+                ctr.multF += n + 1
+            else:
+                ctr.multF += n
+                ctr.div += 1
+        if aj > 0:
+            q = (None, hi if aj == 1 else hi // aj)
+        else:
+            q = (-hi if aj == -1 else -((-hi) // aj), None)
+        return _narrow(store, self.writes, q)
 
 
 def _unbounded_residue(rule, store, ctr):

@@ -1,4 +1,6 @@
+import decimal
 import json
+import sys
 import time
 
 import pytest
@@ -279,6 +281,35 @@ class TestCli:
         assert "objective=" in body
         rep = json.loads(js)
         assert rep["objective"] == rep["incumbents"][-1]
+
+    def test_integers_over_4300_digits(self, tmp_path, capsys):
+        # a literal past the parser's cap, and solutions, objectives and
+        # incumbents past the interpreter's cap on int-to-str conversion
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        p = tmp_path / "long.csp"
+        p.write_text("var x in [0..%s]; solve all;" % ("1" * 4301))
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
+        assert code == 2
+        assert "line 1, col 14: an integer literal has at most 4300" in err
+
+        p.write_text("var x in [10..10]; maximize %s*x*x;" % ("9" * 4299))
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--stats", "json", "--print-solutions")
+        objective = "9" * 4299 + "00"
+        assert code == 0
+        assert "x=10   objective=%s\n" % objective in out
+        assert '"objective": %s,' % objective in out
+        assert '"incumbents": [\n    %s\n  ]' % objective in out
+
+        p.write_text("var x in [9999..9999]; var y in Z;\n"
+                     "constraint y = x^2000; solve all;")
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--print-solutions")
+        assert code == 0
+        y = str(decimal.Decimal(9999 ** 2000))
+        assert len(y) == 8000
+        assert out.startswith("x=9999 y=%s\n" % y)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
     def test_goal_override(self, capsys):
         # enumerate all feasible points of the opt constraint instead of

@@ -115,6 +115,42 @@ class TestPropagate:
         with pytest.raises(PropagationLimit):
             s.propagate()
 
+    def test_pending_count_matches_the_flags(self):
+        # propagate keeps the count in a local and writes it back on every
+        # way out: a fixpoint, a wipe-out and the step limit
+        def check(s):
+            assert s.n_pending == sum(s.pending)
+            return s.n_pending
+
+        dec = decompose(triple_csp((1, 20), (9, 11), (155, 161)), "du")
+        s = Solver(dec)
+        s.flag_all()
+        assert s.propagate() == FIXPOINT
+        assert check(s) == 0
+
+        dec = decompose(parse("""
+            var x in [1..10]; var y in [1..10]; var z in [1..10];
+            constraint x + y + z = 40;
+        """), "du")
+        s = Solver(dec)
+        s.flag_all()
+        assert s.propagate() != FIXPOINT
+        assert check(s) == 2
+        s.reset_pending()
+        assert check(s) == 0
+
+        dec = decompose(parse("""
+            var u in [1..81]; var v in [1..81];
+            constraint 100*u - 10*v = 212;
+        """), "du")
+        s = Solver(dec, step_limit=3)
+        s.flag_all()
+        with pytest.raises(PropagationLimit):
+            s.propagate()
+        assert check(s) > 0
+        s.reset_pending()
+        assert check(s) == 0
+
     def test_counters_accumulate_across_runs(self):
         dec = decompose(triple_csp((1, 20), (9, 11), (155, 161)), "du")
         s = Solver(dec)

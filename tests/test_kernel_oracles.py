@@ -7,10 +7,16 @@ were before: every corner product, every floor quotient, then a min and a
 max.  The new kernels must give the same result on the grid of bounds in
 [-6..6] or infinite, on random big-integer bounds, on every pair of sign
 classes, and (``eval_monomial``) with the same operation counts.
+
+The linear rules divide their residue and narrow in place when every
+bound is finite, and ``rules._narrow`` intersects inline; their oracle is
+the generic path, ``intersect(dom, div_scalar(residue, aj))``.
 """
 
 import math
 import random
+
+import pytest
 
 from intprop import intervals, rules
 from intprop.intervals import OpCounters, div, div_weak, mult
@@ -251,3 +257,78 @@ class TestEvalMonomial:
             assert got == want, (coeff, pp, store)
             assert got_ctr.as_dict() == want_ctr.as_dict(), (coeff, pp, store)
             assert rules.eval_monomial(coeff, pp, store, None) == want
+
+
+def linear_oracle(rule, store, ctr):
+    # the generic path: the residue in interval arithmetic, divided by
+    # div_scalar and intersected with the written domain
+    acc = (rule.b, rule.b)
+    for a, v in rule.others:
+        acc = intervals.sub(acc, intervals.scale(store[v], a, ctr), ctr)
+    if isinstance(rule, rules.LinearIneqRule):
+        acc = (None, acc[1])
+    w = rule.writes
+    nd = intervals.intersect(store[w],
+                             intervals.div_scalar(acc, rule.aj, ctr))
+    if nd == store[w]:
+        return rules.UNCHANGED
+    store[w] = nd
+    return w
+
+
+def shifted(ivs, offset):
+    return [None if d is None else
+            tuple(None if x is None else x + offset for x in d)
+            for d in ivs]
+
+
+# a shift of 10**20 puts every bound outside the interpreter's cache of
+# small ints, where a bound kept from the domain is the same object and an
+# equal bound computed afresh is not; the small grid keeps that case fast
+SMALL_IVS = [d for d in GRID_IVS
+             if d is None or all(x is None or -3 <= x <= 3 for x in d)]
+LINEAR_GRIDS = ((0, GRID_IVS), (10 ** 20, SMALL_IVS))
+GRID_IDS = ("grid", "big")
+
+
+class TestLinearRules:
+    @pytest.mark.parametrize("offset, ivs", LINEAR_GRIDS, ids=GRID_IDS)
+    @pytest.mark.parametrize("cls", (rules.LinearEqRule,
+                                     rules.LinearIneqRule))
+    def test_every_domain_pair(self, cls, offset, ivs):
+        doms = [d for d in shifted(ivs, offset) if d is not None]
+        outcomes = set()
+        for aj in (-3, -2, -1, 1, 2, 3):
+            for a, b in ((1, -5), (-2, 7)):
+                # aj*x + a*y against b, shifted with the domains
+                rule = cls([(aj, 0), (a, 1)], b + (aj + a) * offset, 0)
+                for dx in doms:
+                    for dy in doms:
+                        got_ctr, want_ctr = OpCounters(), OpCounters()
+                        got_store, want_store = [dx, dy], [dx, dy]
+                        got = rule.apply(got_store, got_ctr)
+                        want = linear_oracle(rule, want_store, want_ctr)
+                        case = (aj, a, b, dx, dy)
+                        assert got == want, case
+                        assert got_store == want_store, case
+                        assert got_ctr.as_dict() == want_ctr.as_dict(), case
+                        store = [dx, dy]
+                        assert rule.apply(store, None) == want, case
+                        assert store == want_store, case
+                        outcomes.add("unchanged" if want < 0 else
+                                     "emptied" if want_store[0] is None
+                                     else "narrowed")
+        assert outcomes == {"unchanged", "emptied", "narrowed"}
+
+    @pytest.mark.parametrize("offset, ivs", LINEAR_GRIDS, ids=GRID_IDS)
+    def test_narrow_is_intersect(self, offset, ivs):
+        ivs = shifted(ivs, offset)
+        for dom in ivs:
+            if dom is None:
+                continue
+            for q in ivs:
+                want = intervals.intersect(dom, q)
+                store = [dom]
+                got = rules._narrow(store, 0, q)
+                assert store == [want], (dom, q)
+                assert got == (rules.UNCHANGED if want == dom else 0), (dom, q)

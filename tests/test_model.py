@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -218,6 +219,28 @@ class TestParser:
             with pytest.raises(ParseError, match="unexpected character") as e:
                 parse("var x in [0..%s]; solve all;" % digit)
             assert (e.value.line, e.value.col) == (1, 14)
+
+    def test_literal_over_4300_digits_is_a_parse_error(self):
+        # the cap is the parser's own, the same under any setting of the
+        # interpreter's cap on int(str) (0 lifts it, 640 is the least)
+        sevens = (10 ** 4300 - 1) // 9 * 7
+        settings = [None]
+        if hasattr(sys, "set_int_max_str_digits"):
+            settings += [0, 640]
+        old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        try:
+            for setting in settings:
+                if setting is not None:
+                    sys.set_int_max_str_digits(setting)
+                with pytest.raises(ParseError, match="at most 4300 digits") \
+                        as e:
+                    parse("var x in [0..%s]; solve all;" % ("1" * 4301))
+                assert (e.value.line, e.value.col) == (1, 14)
+                csp = parse("var x in [0..%s]; solve all;" % ("7" * 4300))
+                assert csp.domains == [(0, sevens)]
+        finally:
+            if old is not None:
+                sys.set_int_max_str_digits(old)
 
     def test_long_sum_parses_and_solves(self):
         # x + y + x + y + ... with 3000 terms nests 3000 levels deep

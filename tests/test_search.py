@@ -360,3 +360,19 @@ class TestVerify:
         csp = parse("var x in [1..2]; var y in [1..2]; constraint x*y = 4;")
         assert verify_solution(csp, (2, 2))
         assert not verify_solution(csp, (1, 1))
+
+
+def test_integers_over_4300_digits():
+    # values past the interpreter's cap on int-to-str conversion flow
+    # through the API unconverted
+    nines = 10 ** 4299 - 1
+    csp = parse("var x in [10..10]; maximize %s*x*x;" % ("9" * 4299))
+    best, value, stats = maximize(csp)
+    assert best == (10,)
+    assert value == nines * 100
+    assert stats.incumbents == [value]
+    csp = parse("var x in [9999..9999]; var y in Z;"
+                "constraint y = x^2000; solve all;")
+    sols, stats = solve_all(csp)
+    assert sols == [(9999, 9999 ** 2000)]
+    assert stats.complete
