@@ -89,6 +89,8 @@ def _csv(reports: List[dict]) -> str:
 
 def _load_problem(spec: str, n: Optional[int]) -> CSP:
     if spec.startswith("file:"):
+        if n is not None:
+            raise ValueError("a problem file takes no size")
         path = spec[5:]
         try:
             with open(path, "r", encoding="utf-8") as fh:

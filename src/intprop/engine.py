@@ -85,7 +85,8 @@ class Solver:
 
         ``changed`` seeds the pending set with the readers of those
         variables (after branching); pass nothing to continue from the
-        current flags (use :meth:`flag_all` for an initial run).
+        current flags (use :meth:`flag_all` for an initial run).  A
+        wipe-out clears every pending flag, as a fixpoint does.
         """
         if changed is not None:
             for v in changed:
@@ -109,6 +110,10 @@ class Solver:
                         w = applies[i](store, ctr)
                         if w >= 0:
                             if store[w] is None:
+                                # nothing is left to do after a wipe-out
+                                if np:
+                                    self.pending = bytearray(len(pending))
+                                    np = 0
                                 return w
                             eff += 1
                             for r in readers[w]:
@@ -123,8 +128,3 @@ class Solver:
             self.n_pending = np
             self.applications = apps
             self.effective = eff
-
-    def reset_pending(self) -> None:
-        if self.n_pending:
-            self.pending = bytearray(len(self.rules))
-            self.n_pending = 0

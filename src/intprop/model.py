@@ -20,12 +20,18 @@ starts a comment that runs to the end of the line::
 EXPR is made of integers (ASCII digits), variables declared earlier, binary
 ``+ - *``, unary ``-`` and parentheses (at most 100 deep).  ``^`` may only
 follow a variable: ``x^3`` is ``x*x*x``.
+
+The text is split into tokens by one regular-expression pass.  A token
+keeps its character offset; a :class:`ParseError` works out the line and
+column from it when it is raised, so the end of input sits at
+``len(text)``, past a trailing comment.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Dict, List, Optional, Tuple, Union
@@ -419,17 +425,30 @@ class ParseError(Exception):
         self.col = col
 
 
-_SYMBOLS = ("<=", ">=", "!=", "..", "<", ">", "=", ";", "^", "*", "+", "-",
-            "(", ")", "[", "]")
+def _error_at(text: str, offset: int, message: str) -> ParseError:
+    # 1-based line and column of a character offset, worked out only here
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+# one alternative per token kind, tried in this order at each offset:
+# whitespace (these four characters only) and comments, integers (ASCII
+# digits only: \d also takes other scripts' digits, which int() reads as
+# their value), identifiers, symbols (longest first), and any other
+# character.  [^\W\d] also takes characters such as a superscript two,
+# which str.isalpha rejects, so _tokenize checks an identifier's start.
+_TOKEN = re.compile(r"""
+    (?P<skip>(?:[ \t\r\n]|\#[^\n]*)+)
+  | (?P<int>[0-9]+)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<sym><=|>=|!=|\.\.|[<>=;^*+\-()\[\]])
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 
 # parentheses and unary minuses nest at most this deep: the parser, the
 # normalizer and exact evaluation recurse once or a few times per level
 _MAX_NESTING = 100
-
-# only ASCII digits: str.isdigit also accepts superscripts and other
-# scripts' digits, which int() rejects or reads as their value
-_DIGITS = "0123456789"
 
 # the longest integer literal: CPython's default cap on int(str), fixed here
 # so that what parses does not depend on the interpreter's setting
@@ -437,62 +456,34 @@ _MAX_DIGITS = 4300
 
 
 def _tokenize(text: str):
+    """The tokens ``(kind, value, offset)`` of a problem text, ending with
+    an ``eof`` token at ``len(text)``."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j - i > _MAX_DIGITS:
-                raise ParseError("an integer literal has at most %d digits"
-                                 % _MAX_DIGITS, line, col)
+        value = m.group()
+        if kind == "int":
+            if len(value) > _MAX_DIGITS:
+                raise _error_at(text, m.start(),
+                                "an integer literal has at most %d digits"
+                                % _MAX_DIGITS)
             # the interpreter's cap on int(str) is at least 640 digits;
             # Decimal converts at any cap
-            lit = text[i:j]
-            tokens.append(("int", int(lit) if j - i <= 640
-                           else int(Decimal(lit)), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(("eof", None, line, col))
+            value = int(value) if len(value) <= 640 else int(Decimal(value))
+        elif kind == "bad" or (kind == "ident" and not (
+                value[0].isalpha() or value[0] == "_")):
+            raise _error_at(text, m.start(),
+                            "unexpected character %r" % value[0])
+        tokens.append((kind, value, m.start()))
+    tokens.append(("eof", None, len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.csp = CSP(names=[], domains=[], constraints=[])
@@ -508,14 +499,14 @@ class _Parser:
         self.pos += 1
         return t
 
-    def error(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t[2], t[3])
+    def error(self, msg: str, t=None) -> ParseError:
+        """The error at token ``t``, by default the next one."""
+        return _error_at(self.text, (t or self.peek())[2], msg)
 
     def expect(self, kind, value=None):
         t = self.next()
         if t[0] != kind or (value is not None and t[1] != value):
-            raise ParseError("expected %s" % (value or kind), t[2], t[3])
+            raise self.error("expected %s" % (value or kind), t)
         return t
 
     def parse(self) -> CSP:
@@ -525,29 +516,29 @@ class _Parser:
             if t[0] == "eof":
                 break
             if t[0] != "ident":
-                self.error("expected a declaration, constraint or goal")
+                raise self.error("expected a declaration, constraint or goal")
             if t[1] == "var":
                 self.decl()
             elif t[1] == "constraint":
                 self.constraint()
             elif t[1] in ("solve", "maximize"):
                 if goal_seen:
-                    self.error("duplicate goal")
+                    raise self.error("duplicate goal")
                 goal_seen = True
                 self.goal()
             else:
-                self.error("expected 'var', 'constraint', 'solve' or "
-                           "'maximize'")
+                raise self.error("expected 'var', 'constraint', 'solve' or "
+                                 "'maximize'")
         return self.csp
 
     def decl(self):
         self.expect("ident", "var")
         t = self.next()
         if t[0] != "ident":
-            raise ParseError("expected a variable name", t[2], t[3])
+            raise self.error("expected a variable name", t)
         name = t[1]
         if name in self.index:
-            raise ParseError("duplicate variable %r" % name, t[2], t[3])
+            raise self.error("duplicate variable %r" % name, t)
         self.expect("ident", "in")
         t = self.peek()
         if t[0] == "ident" and t[1] == "Z":
@@ -560,8 +551,7 @@ class _Parser:
             hi = self.signed_int()
             self.expect("sym", "]")
             if lo > hi:
-                raise ParseError("empty domain [%d..%d]" % (lo, hi),
-                                 t[2], t[3])
+                raise self.error("empty domain [%d..%d]" % (lo, hi), t)
             dom = (lo, hi)
         self.expect("sym", ";")
         self.index[name] = self.csp.add_var(name, dom)
@@ -574,7 +564,7 @@ class _Parser:
             neg = True
         t = self.next()
         if t[0] != "int":
-            raise ParseError("expected an integer", t[2], t[3])
+            raise self.error("expected an integer", t)
         return -t[1] if neg else t[1]
 
     def constraint(self):
@@ -582,14 +572,14 @@ class _Parser:
         lhs = self.expr()
         t = self.next()
         if t[0] != "sym" or t[1] not in ("<", "<=", "=", "!=", ">=", ">"):
-            raise ParseError("expected a comparison operator", t[2], t[3])
+            raise self.error("expected a comparison operator", t)
         op = t[1]
         rhs = self.expr()
         self.expect("sym", ";")
         try:
             self.csp.constraints.append(_normalize(lhs, op, rhs, self.spent))
         except ValueError as e:
-            raise ParseError(str(e), start[2], start[3]) from None
+            raise self.error(str(e), start) from None
 
     def goal(self):
         t = self.next()
@@ -626,8 +616,8 @@ class _Parser:
         t = self.peek()
         if t[0] == "sym" and t[1] in ("-", "("):
             if self.depth == _MAX_NESTING:
-                self.error("parentheses and unary minuses nest deeper "
-                           "than %d" % _MAX_NESTING)
+                raise self.error("parentheses and unary minuses nest deeper "
+                                 "than %d" % _MAX_NESTING)
             self.depth += 1
             self.next()
             if t[1] == "-":
@@ -643,19 +633,19 @@ class _Parser:
         if t[0] == "ident":
             self.next()
             if t[1] not in self.index:
-                raise ParseError("unknown variable %r" % t[1], t[2], t[3])
+                raise self.error("unknown variable %r" % t[1], t)
             e: Expr = Var(self.index[t[1]])
             nt = self.peek()
             if nt[0] == "sym" and nt[1] == "^":
                 self.next()
                 et = self.next()
                 if et[0] != "int":
-                    raise ParseError("expected an exponent", et[2], et[3])
+                    raise self.error("expected an exponent", et)
                 if et[1] < 1:
-                    raise ParseError("exponent must be >= 1", et[2], et[3])
+                    raise self.error("exponent must be >= 1", et)
                 e = Pow(e, et[1])
             return e
-        raise ParseError("expected a factor", t[2], t[3])
+        raise self.error("expected a factor", t)
 
 
 def parse(text: str) -> CSP:

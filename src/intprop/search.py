@@ -151,7 +151,6 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
                     seeds.append(objective)
                     failed = nd is None
             if failed or solver.propagate(seeds) != FIXPOINT:
-                solver.reset_pending()
                 continue
         while k < len(order) and store[order[k]][0] == store[order[k]][1]:
             k += 1

@@ -229,6 +229,16 @@ class TestCli:
         assert out == ""
         assert err == "intprop: fractions takes no size\n"
 
+    def test_size_for_a_problem_file_is_an_input_error(self, tmp_path,
+                                                       capsys):
+        p = tmp_path / "ex.csp"
+        p.write_text("var x in [1..3]; solve all;")
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "intprop: a problem file takes no size\n"
+
     @pytest.mark.parametrize("name, n, least", [("sumprod", -3, 1),
                                                 ("kyoto", 1, 2)])
     def test_size_below_the_least_is_an_input_error(self, capsys, name, n,

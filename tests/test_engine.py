@@ -93,16 +93,13 @@ class TestPropagate:
             constraint x^3*y - x <= 40;
         """)
         dec = decompose(csp, "pu")
-        s = Solver(dec)
         # rules: 0: u = x^3*y, 1: ->x, 2: ->y, 3: u-x<=40 ->u, 4: ->x
-        s.note_change(0)     # x changed
-        assert sorted(i for i in range(5) if s.pending[i]) == [0, 2, 3]
-        s.reset_pending()
-        s.note_change(2)     # u changed
-        assert sorted(i for i in range(5) if s.pending[i]) == [1, 2, 4]
-        s.reset_pending()
-        s.note_change(1)     # y changed
-        assert sorted(i for i in range(5) if s.pending[i]) == [0, 1]
+        for var, flagged in ((0, [0, 2, 3]),     # x changed
+                             (2, [1, 2, 4]),     # u changed
+                             (1, [0, 1])):       # y changed
+            s = Solver(dec)
+            s.note_change(var)
+            assert sorted(i for i in range(5) if s.pending[i]) == flagged
 
     def test_step_limit_guard(self):
         csp = parse("""
@@ -117,7 +114,8 @@ class TestPropagate:
 
     def test_pending_count_matches_the_flags(self):
         # propagate keeps the count in a local and writes it back on every
-        # way out: a fixpoint, a wipe-out and the step limit
+        # way out: a fixpoint, a wipe-out (which clears every flag) and the
+        # step limit
         def check(s):
             assert s.n_pending == sum(s.pending)
             return s.n_pending
@@ -135,8 +133,6 @@ class TestPropagate:
         s = Solver(dec)
         s.flag_all()
         assert s.propagate() != FIXPOINT
-        assert check(s) == 2
-        s.reset_pending()
         assert check(s) == 0
 
         dec = decompose(parse("""
@@ -148,8 +144,6 @@ class TestPropagate:
         with pytest.raises(PropagationLimit):
             s.propagate()
         assert check(s) > 0
-        s.reset_pending()
-        assert check(s) == 0
 
     def test_counters_accumulate_across_runs(self):
         dec = decompose(triple_csp((1, 20), (9, 11), (155, 161)), "du")

@@ -212,6 +212,17 @@ class TestParser:
         with pytest.raises(ParseError, match="duplicate goal"):
             parse("var x in [1..2]; solve all; solve all;")
 
+    def test_end_of_input_after_a_trailing_comment(self):
+        # the end of input sits at len(text), past the comment, not where
+        # the comment starts
+        text = "var x in [1..3];\nconstraint x = 2 # no semicolon"
+        with pytest.raises(ParseError, match="expected ;") as e:
+            parse(text)
+        assert (e.value.line, e.value.col) == (2, 32)
+        with pytest.raises(ParseError, match="expected ;") as e:
+            parse(text + "\n")
+        assert (e.value.line, e.value.col) == (3, 1)
+
     def test_non_ascii_digits_are_rejected(self):
         # a superscript two, which int() rejects, and an Arabic-Indic three,
         # which int() would read as 3
