@@ -34,9 +34,10 @@ in creation order, and ``_u<k>`` names the ``k``-th auxiliary created
 (with ``_`` appended while a user variable has that name), so the names
 of the kept ones may skip numbers.  Each auxiliary's initial domain is
 the image of its definition's forward rule (the first of its rules),
-applied without counting in definition order, so the rules are the one
-place where a definition is evaluated.  With an empty user domain the
-problem is infeasible and no initial domain is computed.
+applied in definition order, so the rules are the one place where a
+definition is evaluated.  Those applications are not propagation work:
+they count into a scratch counter that is then dropped.  With an empty
+user domain the problem is infeasible and no initial domain is computed.
 
 Each definition's rules follow one another, its forward rule first, and
 the forward rule reads exactly the definition's arguments.  The generated
@@ -48,10 +49,11 @@ definition tree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .intervals import Interval
+from .intervals import Interval, OpCounters
 from .model import (
     CSP,
     Constraint,
@@ -104,10 +106,7 @@ def _replaced(c: PolynomialConstraint, variant: str) -> List[PowerProduct]:
     if variant == "po":
         # only those in a repeated variable occurrence, so constraints
         # that are already simple stay intact
-        counts: Dict[int, int] = {}
-        for _, pp in c.monomials:
-            for v, _ in pp:
-                counts[v] = counts.get(v, 0) + 1
+        counts = Counter(v for _, pp in c.monomials for v, _ in pp)
         pps = [pp for pp in pps if any(counts[v] > 1 for v, _ in pp)]
     return pps
 
@@ -350,6 +349,7 @@ def decompose(csp: CSP, variant: str, division: str = "weak",
     rules: List[Rule] = []
     def_rules: Dict[int, range] = {}
     def_constraints = [def_constraint(d) for d in defs]
+    scratch = OpCounters()
     for d, dc in zip(defs, def_constraints):
         base = len(rules)
         rules.extend(build_rules([dc], division))
@@ -357,7 +357,7 @@ def decompose(csp: CSP, variant: str, division: str = "weak",
         assert rules[base].writes == d.var
         if not empty:
             # the initial domain is the image of the forward rule
-            rules[base].apply(domains, None)
+            rules[base].apply(domains, scratch)
     n_def_rules = len(rules)
     rules.extend(build_rules(users, division, optimized=variant == "do"))
     user_rule_indices = range(n_def_rules, len(rules))

@@ -27,9 +27,9 @@ denominator two floor divisions.  Infinite bounds take every corner, with
 infinity absorption.  :func:`exp`, :func:`root` and :func:`div_scalar`
 split on sign in the same way.
 
-Every arithmetic operation optionally takes an :class:`OpCounters` sink and
-bumps exactly one category; the lattice operations (intersection, span,
-negation) are not counted.
+Every arithmetic operation takes an :class:`OpCounters` sink and bumps
+exactly one category, also for an empty operand; the lattice operations
+(intersection, span, negation) are not counted.
 """
 
 from __future__ import annotations
@@ -122,9 +122,8 @@ def negate(a: Interval) -> Interval:
 # ---------------------------------------------------------------------------
 # counted arithmetic
 
-def add(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
-    if ctr is not None:
-        ctr.sum += 1
+def add(a: Interval, b: Interval, ctr: OpCounters) -> Interval:
+    ctr.sum += 1
     if a is None or b is None:
         return None
     a0, a1 = a
@@ -133,9 +132,8 @@ def add(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
             None if a1 is None or b1 is None else a1 + b1)
 
 
-def sub(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
-    if ctr is not None:
-        ctr.sum += 1
+def sub(a: Interval, b: Interval, ctr: OpCounters) -> Interval:
+    ctr.sum += 1
     if a is None or b is None:
         return None
     a0, a1 = a
@@ -144,10 +142,9 @@ def sub(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
             None if a1 is None or b0 is None else a1 - b0)
 
 
-def scale(a: Interval, k: int, ctr: Optional[OpCounters] = None) -> Interval:
+def scale(a: Interval, k: int, ctr: OpCounters) -> Interval:
     """Multiply by an integer factor; exact (the image is an interval)."""
-    if ctr is not None:
-        ctr.multF += 1
+    ctr.multF += 1
     if a is None:
         return None
     if k == 0:
@@ -168,7 +165,7 @@ def _xmul(x, y):
     return x * y
 
 
-def mult(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
+def mult(a: Interval, b: Interval, ctr: OpCounters) -> Interval:
     """Closure of the set product of two intervals.
 
     Bounded operands are classified by sign (non-negative, non-positive,
@@ -179,8 +176,7 @@ def mult(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval
     the two positive ones.  An infinite bound takes the four corners with
     infinity absorption.
     """
-    if ctr is not None:
-        ctr.multI += 1
+    ctr.multI += 1
     if a is None or b is None:
         return None
     a0, a1 = a
@@ -217,10 +213,9 @@ def mult(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval
     return (None if lo == -_INF else lo, None if hi == _INF else hi)
 
 
-def exp(a: Interval, n: int, ctr: Optional[OpCounters] = None) -> Interval:
+def exp(a: Interval, n: int, ctr: OpCounters) -> Interval:
     """Closure of {x**n | x in a} for n >= 1."""
-    if ctr is not None:
-        ctr.exp += 1
+    ctr.exp += 1
     if a is None:
         return None
     a0, a1 = a
@@ -274,14 +269,13 @@ def ceil_root(x: int, n: int) -> int:
     return -_iroot(-x, n)
 
 
-def root(a: Interval, n: int, ctr: Optional[OpCounters] = None) -> Tuple[Interval, ...]:
+def root(a: Interval, n: int, ctr: OpCounters) -> Tuple[Interval, ...]:
     """Exact set {x | x**n in a} as a union of at most two intervals.
 
     Returns a tuple of disjoint, ascending, non-adjacent parts; empty tuple
     for the empty set.  Not interval-closed on purpose.
     """
-    if ctr is not None:
-        ctr.root += 1
+    ctr.root += 1
     if a is None:
         return ()
     a0, a1 = a
@@ -450,7 +444,7 @@ def _quotient(a, b, exact: bool) -> Interval:
     return _endpoint_div(a0, a1, b0, b1)
 
 
-def div(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
+def div(a: Interval, b: Interval, ctr: OpCounters) -> Interval:
     """Closure of the set quotient {u | u*y = x for some x in a, y in b}.
 
     One case analysis on 0 in the operands: 0 in both gives Z; a zero
@@ -468,12 +462,11 @@ def div(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
     10**9) keeps the bound it started from, which gives
     :func:`div_weak`'s superset there.
     """
-    if ctr is not None:
-        ctr.div += 1
+    ctr.div += 1
     return _quotient(a, b, True)
 
 
-def div_weak(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Interval:
+def div_weak(a: Interval, b: Interval, ctr: OpCounters) -> Interval:
     """Endpoint-formula quotient: a superset of :func:`div`, cheaper.
 
     The same case analysis as :func:`div` without the snapping step, so
@@ -482,24 +475,21 @@ def div_weak(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> Inte
     divides some member of an unbounded numerator or one containing 0, so
     there snapping changes nothing.  They also coincide on singletons.
     """
-    if ctr is not None:
-        ctr.div += 1
+    ctr.div += 1
     return _quotient(a, b, False)
 
 
-def div_scalar(a: Interval, k: int, ctr: Optional[OpCounters] = None) -> Interval:
+def div_scalar(a: Interval, k: int, ctr: OpCounters) -> Interval:
     """Exact quotient by a one-point set {k}; always an interval.
 
     Division by a unit is carried out (and counted) as scaling.
     """
+    if k == 1 or k == -1:
+        ctr.multF += 1
+        return a if k == 1 else negate(a)
+    ctr.div += 1
     if a is None:
         return None
-    if k == 1 or k == -1:
-        if ctr is not None:
-            ctr.multF += 1
-        return a if k == 1 else negate(a)
-    if ctr is not None:
-        ctr.div += 1
     if k == 0:
         return ALL if contains_zero(a) else None
     a0, a1 = a

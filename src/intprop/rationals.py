@@ -7,9 +7,11 @@ quotients of integer intervals and round the sum once, so a gcd per
 operation would cost more than the growth of the integers it saves.
 
 :func:`q_div` takes two integer intervals, as evaluated monomials are, and
-returns a rational interval; :func:`q_add` adds rational intervals;
-:func:`q_of` makes an integer interval rational; :func:`q_to_interval` and
-:func:`q_to_halfline` round back to integers with floor division.
+returns a rational interval; :func:`q_add` adds rational intervals.  Both
+require an :class:`~intprop.intervals.OpCounters` and bump one category
+(``q_div`` or ``q_sum``).  :func:`q_of` makes an integer interval
+rational; :func:`q_to_interval` and :func:`q_to_halfline` round back to
+integers with floor division.
 
 Division follows extended real-interval division; when the exact quotient
 set is a union of two rays, the enclosing interval (all of R) is returned,
@@ -38,10 +40,9 @@ def q_of(a: Interval) -> QInterval:
     return (None if lo is None else (lo, 1), None if hi is None else (hi, 1))
 
 
-def q_add(a: QInterval, b: QInterval, ctr: Optional[OpCounters] = None) -> QInterval:
+def q_add(a: QInterval, b: QInterval, ctr: OpCounters) -> QInterval:
     """Sum of two rational intervals, counted as ``q_sum``."""
-    if ctr is not None:
-        ctr.q_sum += 1
+    ctr.q_sum += 1
     if a is None or b is None:
         return None
     return (_add_bounds(a[0], b[0]), _add_bounds(a[1], b[1]))
@@ -57,15 +58,14 @@ def _add_bounds(x: QBound, y: QBound) -> QBound:
     return (n * e + m * d, d * e)
 
 
-def q_div(a: Interval, b: Interval, ctr: Optional[OpCounters] = None) -> QInterval:
+def q_div(a: Interval, b: Interval, ctr: OpCounters) -> QInterval:
     """Smallest real interval containing {u | u*y = x, x in a, y in b}.
 
     ``a`` and ``b`` are integer intervals.  For a positive denominator the
     sign of each numerator bound picks the denominator bound that makes it
     extreme, so each result bound is one quotient.
     """
-    if ctr is not None:
-        ctr.q_div += 1
+    ctr.q_div += 1
     if a is None or b is None:
         return None
     a0, a1 = a

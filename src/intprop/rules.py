@@ -2,7 +2,9 @@
 
 A store is a list mapping variable id to interval; a rule is a descriptor
 with a ``reads`` tuple (variables its update depends on), a ``writes``
-variable, and an ``apply(store, counters)`` method.  ``apply`` returns
+variable, and an ``apply(store, counters)`` method.  ``counters`` is a
+required :class:`~intprop.intervals.OpCounters`, which ``apply`` and
+:func:`eval_monomial` bump for every interval operation.  ``apply`` returns
 ``-1`` when the store is unchanged, otherwise the written variable id; a
 write of ``None`` (the empty interval) into the store signals failure and
 the caller must stop propagating, and no rule is applied to a store with
@@ -73,7 +75,7 @@ DomainStore = List[Interval]
 
 
 def eval_monomial(coeff: int, pp: PowerProduct, store: DomainStore,
-                  ctr: Optional[OpCounters]) -> Interval:
+                  ctr: OpCounters) -> Interval:
     """Interval of a monomial: powers, pairwise products, coefficient."""
     if not pp:
         return (coeff, coeff)
@@ -88,7 +90,6 @@ def eval_monomial(coeff: int, pp: PowerProduct, store: DomainStore,
                 f0, f1 = f1 ** e, f0 ** e
             else:
                 f0, f1 = 0, max(f0 ** e, f1 ** e)
-        n_mult = 0
         n_exp = 1 if pp[0][1] > 1 else 0
         for v, e in pp[1:]:
             g0, g1 = store[v]
@@ -100,7 +101,6 @@ def eval_monomial(coeff: int, pp: PowerProduct, store: DomainStore,
                     g0, g1 = g1 ** e, g0 ** e
                 else:
                     g0, g1 = 0, max(g0 ** e, g1 ** e)
-            n_mult += 1
             if f0 >= 0 and g0 >= 0:
                 f0 = f0 * g0
                 f1 = f1 * g1
@@ -121,10 +121,9 @@ def eval_monomial(coeff: int, pp: PowerProduct, store: DomainStore,
             out = (0, 0)
         else:
             out = (f1 * coeff, f0 * coeff)
-        if ctr is not None:
-            ctr.exp += n_exp
-            ctr.multI += n_mult
-            ctr.multF += 1
+        ctr.exp += n_exp
+        ctr.multI += len(pp) - 1
+        ctr.multF += 1
         return out
     except TypeError:
         pass
@@ -177,7 +176,7 @@ class Rule:
 
     variant = "?"
 
-    def apply(self, store: DomainStore, ctr: Optional[OpCounters]) -> int:
+    def apply(self, store: DomainStore, ctr: OpCounters) -> int:
         raise NotImplementedError
 
     def __repr__(self):
@@ -215,14 +214,13 @@ class LinearEqRule(Rule):
             return _narrow(store, self.writes, iv.div_scalar(
                 _unbounded_residue(self, store, ctr), aj, ctr))
         # iv.div_scalar and _narrow inline, with the same op counts
-        if ctr is not None:
-            n = len(others)
-            ctr.sum += n
-            if aj == 1 or aj == -1:
-                ctr.multF += n + 1
-            else:
-                ctr.multF += n
-                ctr.div += 1
+        n = len(others)
+        ctr.sum += n
+        if aj == 1 or aj == -1:
+            ctr.multF += n + 1
+        else:
+            ctr.multF += n
+            ctr.div += 1
         if aj > 0:
             if aj != 1:
                 lo = -((-lo) // aj)
@@ -265,14 +263,13 @@ class LinearIneqRule(Rule):
             return _narrow(store, self.writes, iv.div_scalar(
                 (None, _unbounded_residue(self, store, ctr)[1]), aj, ctr))
         # iv.div_scalar inline, with the same op counts
-        if ctr is not None:
-            n = len(others)
-            ctr.sum += n
-            if aj == 1 or aj == -1:
-                ctr.multF += n + 1
-            else:
-                ctr.multF += n
-                ctr.div += 1
+        n = len(others)
+        ctr.sum += n
+        if aj == 1 or aj == -1:
+            ctr.multF += n + 1
+        else:
+            ctr.multF += n
+            ctr.div += 1
         if aj > 0:
             q = (None, hi if aj == 1 else hi // aj)
         else:
@@ -376,7 +373,7 @@ class _Residuals:
         self.snap = (None, None, self.blank.copy())
 
     def residue(self, l: int, store: DomainStore,
-                ctr: Optional[OpCounters]) -> Interval:
+                ctr: OpCounters) -> Interval:
         """``b`` minus every monomial but the ``l``-th, on ``store``."""
         domains = self.domains_of(store)
         snap = self.snap
@@ -411,8 +408,7 @@ class _Residuals:
                     hi -= m[0]
                 except TypeError:
                     lo = None
-        if ctr is not None:
-            ctr.sum += len(terms) - 1
+        ctr.sum += len(terms) - 1
         if lo is not None:
             return (lo, 0, hi, 0)
         acc = (self.b, 0, self.b, 0)
@@ -432,10 +428,8 @@ class _Residuals:
             if m is None:
                 m = cells[j] = eval_monomial(c, pp, store, ctr)
             total = cells[0] = _shift(cells[2 + f], m, -1)
-            if ctr is not None:
-                ctr.sum += 1
-        if ctr is not None:
             ctr.sum += 1
+        ctr.sum += 1
         # the first residue and its own monomial cover all of them
         return _shift(total, cells[self.terms[l][0]], 1)
 
@@ -703,7 +697,7 @@ class DiseqCheckRule(Rule):
 
 def _diseq_rules(c: PolynomialConstraint) -> List[Rule]:
     mons = c.monomials
-    if all(len(pp) == 1 and pp[0][1] == 1 for _, pp in mons):
+    if c.is_linear():
         if len(mons) == 1:
             a, x = mons[0][0], mons[0][1][0][0]
             if c.rhs % a:

@@ -4,6 +4,7 @@ import pytest
 
 from intprop.decompose import decompose
 from intprop.engine import FIXPOINT, PropagationLimit, Solver
+from intprop.intervals import OpCounters
 from intprop.model import CSP, Lit, Mul, MultAtom, Var, normalize, parse
 from intprop.rules import UNCHANGED
 
@@ -59,7 +60,7 @@ class TestPropagate:
             s.flag_all()
             if s.propagate() == FIXPOINT:
                 for r in dec.rules:
-                    assert r.apply(s.store, None) == UNCHANGED
+                    assert r.apply(s.store, OpCounters()) == UNCHANGED
 
     def test_modes_reach_the_same_fixpoint(self):
         rng = random.Random(22)

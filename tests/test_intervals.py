@@ -21,6 +21,7 @@ from intprop.intervals import (
     span,
     sub,
 )
+from intprop.rationals import q_add, q_div, q_of
 
 from interval_sets import contains, hull, issubset, iter_values
 
@@ -61,56 +62,56 @@ class TestBasics:
 
 class TestAddSubScale:
     def test_add(self):
-        assert add(iv(2, 4), iv(3, 8)) == (5, 12)
-        assert add(None, iv(1, 2)) is None
-        assert add((None, 2), iv(1, 3)) == (None, 5)
+        assert add(iv(2, 4), iv(3, 8), OpCounters()) == (5, 12)
+        assert add(None, iv(1, 2), OpCounters()) is None
+        assert add((None, 2), iv(1, 3), OpCounters()) == (None, 5)
 
     def test_sub(self):
-        assert sub(iv(3, 7), iv(1, 8)) == (-5, 6)
-        assert sub(iv(0, 0), (1, None)) == (None, -1)
+        assert sub(iv(3, 7), iv(1, 8), OpCounters()) == (-5, 6)
+        assert sub(iv(0, 0), (1, None), OpCounters()) == (None, -1)
 
     def test_scale(self):
-        assert scale(iv(1, 81), 10) == (10, 810)
-        assert scale(iv(3, 5), -1) == (-5, -3)
-        assert scale(iv(2, 4), 0) == (0, 0)
-        assert scale((1, None), 3) == (3, None)
-        assert scale((1, None), -2) == (None, -2)
+        assert scale(iv(1, 81), 10, OpCounters()) == (10, 810)
+        assert scale(iv(3, 5), -1, OpCounters()) == (-5, -3)
+        assert scale(iv(2, 4), 0, OpCounters()) == (0, 0)
+        assert scale((1, None), 3, OpCounters()) == (3, None)
+        assert scale((1, None), -2, OpCounters()) == (None, -2)
 
 
 class TestMult:
     def test_paper_values(self):
-        assert mult(iv(3, 3), iv(1, 2)) == (3, 6)
-        assert mult(iv(-2, 1), iv(-3, 10)) == (-20, 10)
-        assert mult(iv(16, 16), iv(10, 10)) == (160, 160)
+        assert mult(iv(3, 3), iv(1, 2), OpCounters()) == (3, 6)
+        assert mult(iv(-2, 1), iv(-3, 10), OpCounters()) == (-20, 10)
+        assert mult(iv(16, 16), iv(10, 10), OpCounters()) == (160, 160)
 
     def test_unbounded(self):
-        assert mult((0, None), iv(-3, -2)) == (None, 0)
-        assert mult((0, None), iv(0, 0)) == (0, 0)
-        assert mult((1, None), iv(0, 1)) == (0, None)
-        assert mult(ALL, iv(0, 5)) == ALL
-        assert mult(ALL, iv(0, 0)) == (0, 0)
-        assert mult((1, None), (1, None)) == (1, None)
+        assert mult((0, None), iv(-3, -2), OpCounters()) == (None, 0)
+        assert mult((0, None), iv(0, 0), OpCounters()) == (0, 0)
+        assert mult((1, None), iv(0, 1), OpCounters()) == (0, None)
+        assert mult(ALL, iv(0, 5), OpCounters()) == ALL
+        assert mult(ALL, iv(0, 0), OpCounters()) == (0, 0)
+        assert mult((1, None), (1, None), OpCounters()) == (1, None)
 
 
 class TestExpRoot:
     def test_exp(self):
-        assert exp(iv(1, 2), 2) == (1, 4)
-        assert exp(iv(-2, 3), 3) == (-8, 27)
-        assert exp(iv(-3, 2), 2) == (0, 9)
-        assert exp((1, None), 3) == (1, None)
-        assert exp(ALL, 2) == (0, None)
-        assert exp((None, -2), 2) == (4, None)
+        assert exp(iv(1, 2), 2, OpCounters()) == (1, 4)
+        assert exp(iv(-2, 3), 3, OpCounters()) == (-8, 27)
+        assert exp(iv(-3, 2), 2, OpCounters()) == (0, 9)
+        assert exp((1, None), 3, OpCounters()) == (1, None)
+        assert exp(ALL, 2, OpCounters()) == (0, None)
+        assert exp((None, -2), 2, OpCounters()) == (4, None)
 
     def test_root(self):
-        assert root(iv(-30, 100), 3) == ((-3, 4),)
-        assert root(iv(-100, 9), 2) == ((-3, 3),)
-        assert root(iv(1, 9), 2) == ((-3, -1), (1, 3))
-        assert root(iv(-10, -1), 2) == ()
-        assert root(iv(2, 3), 3) == ()
-        assert root(iv(2, 3), 2) == ()
-        assert root((4, None), 2) == ((None, -2), (2, None))
-        assert root((None, 8), 3) == ((None, 2),)
-        assert root(iv(0, 9), 2) == ((-3, 3),)
+        assert root(iv(-30, 100), 3, OpCounters()) == ((-3, 4),)
+        assert root(iv(-100, 9), 2, OpCounters()) == ((-3, 3),)
+        assert root(iv(1, 9), 2, OpCounters()) == ((-3, -1), (1, 3))
+        assert root(iv(-10, -1), 2, OpCounters()) == ()
+        assert root(iv(2, 3), 3, OpCounters()) == ()
+        assert root(iv(2, 3), 2, OpCounters()) == ()
+        assert root((4, None), 2, OpCounters()) == ((None, -2), (2, None))
+        assert root((None, 8), 3, OpCounters()) == ((None, 2),)
+        assert root(iv(0, 9), 2, OpCounters()) == ((-3, 3),)
 
     def test_integer_roots(self):
         for x in list(range(0, 200)) + [10 ** 30, 10 ** 30 + 1, 2 ** 64]:
@@ -137,54 +138,61 @@ class TestExpRoot:
 
 class TestDiv:
     def test_case_analysis(self):
-        assert div(iv(-1, 100), iv(-2, 8)) == ALL            # 0 in both
-        assert div(iv(10, 100), iv(0, 0)) is None            # zero divisor only
-        assert div(iv(-100, -10), iv(-2, 5)) == (-100, 100)  # den straddles 0
-        assert div(iv(155, 161), iv(9, 11)) == (16, 16)      # divisor snapping
-        assert div(iv(1, 100), iv(-7, 0)) == (-100, -1)      # strip 0 endpoint
-        assert div(iv(3, 5), iv(-1, 2)) == (-5, 5)
-        assert div(iv(-3, 5), iv(-1, 2)) == ALL
+        # 0 in both
+        assert div(iv(-1, 100), iv(-2, 8), OpCounters()) == ALL
+        # zero divisor only
+        assert div(iv(10, 100), iv(0, 0), OpCounters()) is None
+        # den straddles 0
+        assert div(iv(-100, -10), iv(-2, 5), OpCounters()) == (-100, 100)
+        # divisor snapping
+        assert div(iv(155, 161), iv(9, 11), OpCounters()) == (16, 16)
+        # strip 0 endpoint
+        assert div(iv(1, 100), iv(-7, 0), OpCounters()) == (-100, -1)
+        assert div(iv(3, 5), iv(-1, 2), OpCounters()) == (-5, 5)
+        assert div(iv(-3, 5), iv(-1, 2), OpCounters()) == ALL
 
     def test_no_divisor_gives_empty(self):
-        assert div(iv(3, 5), iv(7, 9)) is None
-        assert div(iv(3, 5), iv(7, 7)) is None
+        assert div(iv(3, 5), iv(7, 9), OpCounters()) is None
+        assert div(iv(3, 5), iv(7, 7), OpCounters()) is None
 
     def test_unbounded(self):
-        assert div(iv(10, 100), (2, None)) == (1, 50)
-        assert div((10, None), iv(2, 3)) == (4, None)
-        assert div((None, -5), iv(3, 3)) == (None, -2)
-        assert div((1, None), iv(-1, 2)) == ALL
-        assert div(ALL, iv(3, 3)) == ALL
+        assert div(iv(10, 100), (2, None), OpCounters()) == (1, 50)
+        assert div((10, None), iv(2, 3), OpCounters()) == (4, None)
+        assert div((None, -5), iv(3, 3), OpCounters()) == (None, -2)
+        assert div((1, None), iv(-1, 2), OpCounters()) == ALL
+        assert div(ALL, iv(3, 3), OpCounters()) == ALL
 
     def test_weak_division(self):
-        assert div_weak(iv(155, 161), iv(9, 11)) == (15, 17)
-        assert div_weak(iv(8, 10), iv(-3, 10)) == (-10, 10)
-        assert div_weak(iv(6, 6), iv(3, 3)) == (2, 2)
+        assert div_weak(iv(155, 161), iv(9, 11), OpCounters()) == (15, 17)
+        assert div_weak(iv(8, 10), iv(-3, 10), OpCounters()) == (-10, 10)
+        assert div_weak(iv(6, 6), iv(3, 3), OpCounters()) == (2, 2)
         # zero endpoint branch of the weak rule
-        assert div_weak(iv(155, 161), iv(0, 11)) == (15, 161)
-        assert div_weak(iv(-8, 10), iv(0, 11)) == ALL
+        assert div_weak(iv(155, 161), iv(0, 11), OpCounters()) == (15, 161)
+        assert div_weak(iv(-8, 10), iv(0, 11), OpCounters()) == ALL
 
     def test_div_scalar(self):
-        assert div_scalar(iv(222, 1022), 100) == (3, 10)
-        assert div_scalar(iv(7, 7), 2) is None
-        assert div_scalar(iv(3, 8), -2) == (-4, -2)
-        assert div_scalar(iv(3, 8), 1) == (3, 8)
-        assert div_scalar(iv(3, 8), -1) == (-8, -3)
-        assert div_scalar(iv(-2, 5), 0) == ALL
-        assert div_scalar(iv(2, 5), 0) is None
-        assert div_scalar((None, 45), 1) == (None, 45)
+        assert div_scalar(iv(222, 1022), 100, OpCounters()) == (3, 10)
+        assert div_scalar(iv(7, 7), 2, OpCounters()) is None
+        assert div_scalar(iv(3, 8), -2, OpCounters()) == (-4, -2)
+        assert div_scalar(iv(3, 8), 1, OpCounters()) == (3, 8)
+        assert div_scalar(iv(3, 8), -1, OpCounters()) == (-8, -3)
+        assert div_scalar(iv(-2, 5), 0, OpCounters()) == ALL
+        assert div_scalar(iv(2, 5), 0, OpCounters()) is None
+        assert div_scalar((None, 45), 1, OpCounters()) == (None, 45)
 
     def test_div_halfline(self):
-        assert div_halfline((None, 45), iv(1, 100)) == (None, 45)
-        assert div_halfline((None, 45), iv(-2, 3)) == ALL
-        assert div_halfline((None, -10), iv(-1, -1)) == (10, None)
-        assert div_halfline((None, 43), iv(1, 27)) == (None, 43)
-        assert div_halfline((None, -10), iv(3, None)) == (None, -1)
-        assert div_halfline((5, None), iv(2, 3)) == (2, None)
-        assert div_halfline(ALL, iv(2, 3)) == ALL
-        assert div_halfline((None, -1), iv(0, 0)) is None
+        assert div_halfline((None, 45), iv(1, 100), OpCounters()) == (None, 45)
+        assert div_halfline((None, 45), iv(-2, 3), OpCounters()) == ALL
+        assert (div_halfline((None, -10), iv(-1, -1), OpCounters())
+                == (10, None))
+        assert div_halfline((None, 43), iv(1, 27), OpCounters()) == (None, 43)
+        assert (div_halfline((None, -10), iv(3, None), OpCounters())
+                == (None, -1))
+        assert div_halfline((5, None), iv(2, 3), OpCounters()) == (2, None)
+        assert div_halfline(ALL, iv(2, 3), OpCounters()) == ALL
+        assert div_halfline((None, -1), iv(0, 0), OpCounters()) is None
         # a bounded numerator gets the weak quotient
-        assert div_halfline(iv(155, 161), iv(9, 11)) == (15, 17)
+        assert div_halfline(iv(155, 161), iv(9, 11), OpCounters()) == (15, 17)
 
 
 def scan_divisors_oracle(c, d, a0, a1):
@@ -244,17 +252,18 @@ class TestDivisorSnap:
         g = [None] + list(range(-9, 10))
         ivs = [(lo, hi) for lo in g for hi in g
                if lo is None or hi is None or lo <= hi] + [None]
-        got = [div(a, b) for a in ivs for b in ivs]
+        got = [div(a, b, OpCounters()) for a in ivs for b in ivs]
         monkeypatch.setattr(intervals, "_scan_divisors", scan_divisors_oracle)
-        assert got == [div(a, b) for a in ivs for b in ivs]
+        assert got == [div(a, b, OpCounters()) for a in ivs for b in ivs]
 
     def test_large_range_snaps_quickly(self):
         # a linear scan takes seconds here, and minutes near 10**9
         t0 = time.perf_counter()
-        assert div((10 ** 7 + 3,) * 2, (2, 10 ** 7)) == (13, 769231)
+        assert (div((10 ** 7 + 3,) * 2, (2, 10 ** 7), OpCounters())
+                == (13, 769231))
         p = 10 ** 9 + 7     # prime: no divisor in [2..10**9]
-        assert div((p, p), (2, 10 ** 9)) is None
-        assert div((-p, -p), (-10 ** 9, -2)) is None
+        assert div((p, p), (2, 10 ** 9), OpCounters()) is None
+        assert div((-p, -p), (-10 ** 9, -2), OpCounters()) is None
         assert time.perf_counter() - t0 < 1.0
 
     def test_huge_numerator_falls_back_to_the_weak_quotient(self):
@@ -263,15 +272,17 @@ class TestDivisorSnap:
         t0 = time.perf_counter()
         for a, b in (((p, p), (2, 10 ** 12)), ((-p, -p), (2, 10 ** 12)),
                      ((p, p), (-10 ** 12, -2))):
-            assert div(a, b) == div_weak(a, b) is not None
+            assert (div(a, b, OpCounters())
+                    == div_weak(a, b, OpCounters()) is not None)
         assert time.perf_counter() - t0 < 2.0
 
     def test_block_cap_gives_a_superset_of_the_exact_quotient(
             self, monkeypatch):
         a, b = (10 ** 7 + 3,) * 2, (2, 10 ** 7)
-        assert div(a, b) == (13, 769231)
+        assert div(a, b, OpCounters()) == (13, 769231)
         monkeypatch.setattr(intervals, "_MAX_BLOCKS", 3)
-        assert div(a, b) == div_weak(a, b) == (2, 5000001)
+        assert (div(a, b, OpCounters()) == div_weak(a, b, OpCounters())
+                == (2, 5000001))
 
 
 class TestCounters:
@@ -298,6 +309,33 @@ class TestCounters:
         assert c.root == 1
         assert c.total() == 11
         assert c.as_dict()["total"] == 11
+
+    def test_every_call_bumps_exactly_one_category_once(self):
+        # all counted kernels, on every operand with bounds in [-4..4] or
+        # infinite and on the empty interval, also where the result is
+        # decided before any arithmetic
+        g = [None] + list(range(-4, 5))
+        ivs = [(lo, hi) for lo in g for hi in g
+               if lo is None or hi is None or lo <= hi] + [None]
+
+        def q_add_of(a, b, ctr):
+            return q_add(q_of(a), q_of(b), ctr)
+
+        calls = [(f, (a, b)) for f in (add, sub, mult, div, div_weak, q_div,
+                                       q_add_of)
+                 for a in ivs for b in ivs]
+        calls += [(f, (a, k)) for f in (scale, div_scalar)
+                  for a in ivs for k in range(-3, 4)]
+        calls += [(f, (a, n)) for f in (exp, root)
+                  for a in ivs for n in range(1, 5)]
+        wrong = []
+        for f, args in calls:
+            c = OpCounters()
+            f(*args, c)
+            bumps = [getattr(c, name) for name in OpCounters.CATEGORIES]
+            if c.total() != 1 or bumps.count(1) != 1:
+                wrong.append((f.__name__,) + args)
+        assert wrong == []
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +394,11 @@ class TestEnumerationOracle:
             a = random_interval(rng)
             b = random_interval(rng)
             sa, sb = as_set(a), as_set(b)
-            assert as_set(add(a, b)) == exact_set("add", sa, sb)
-            assert as_set(sub(a, b)) == exact_set("sub", sa, sb)
+            assert as_set(add(a, b, OpCounters())) == exact_set("add", sa, sb)
+            assert as_set(sub(a, b, OpCounters())) == exact_set("sub", sa, sb)
             for n in (1, 2, 3, 4):
-                assert as_set(root(a, n)) == exact_set("root", sa, n=n)
+                assert (as_set(root(a, n, OpCounters()))
+                        == exact_set("root", sa, n=n))
 
     def test_closure_minimality(self):
         # mult/div/exp return the smallest interval containing the exact set
@@ -368,10 +407,10 @@ class TestEnumerationOracle:
             a = random_interval(rng)
             b = random_interval(rng)
             sa, sb = as_set(a), as_set(b)
-            m = mult(a, b)
+            m = mult(a, b, OpCounters())
             es = exact_set("mult", sa, sb)
             assert m == (min(es), max(es))
-            q = div(a, b)
+            q = div(a, b, OpCounters())
             eq = exact_set("div", sa, sb)
             if eq is None:
                 assert q == ALL
@@ -381,26 +420,28 @@ class TestEnumerationOracle:
                 assert q == (min(eq), max(eq))
             for n in (1, 2, 3):
                 ee = exact_set("exp", sa, n=n)
-                assert exp(a, n) == (min(ee), max(ee))
+                assert exp(a, n, OpCounters()) == (min(ee), max(ee))
 
     def test_weak_contains_strong(self):
         rng = random.Random(9)
         for _ in range(500):
             a = random_interval(rng)
             b = random_interval(rng)
-            assert issubset(div(a, b), div_weak(a, b))
+            assert issubset(div(a, b, OpCounters()),
+                            div_weak(a, b, OpCounters()))
 
     def test_weak_equals_strong_on_singletons(self):
         for x in UNIVERSE:
             for y in UNIVERSE:
-                assert div((x, x), (y, y)) == div_weak((x, x), (y, y))
+                assert (div((x, x), (y, y), OpCounters())
+                        == div_weak((x, x), (y, y), OpCounters()))
 
     def test_root_exp_inversion(self):
         rng = random.Random(10)
         for _ in range(200):
             a = random_interval(rng)
             for n in (1, 2, 3, 4):
-                parts = root(exp(a, n), n)
+                parts = root(exp(a, n, OpCounters()), n, OpCounters())
                 for x in iter_values(a):
                     assert any(contains(p, x) for p in parts)
 
@@ -420,8 +461,8 @@ class TestEnumerationOracle:
         for _ in range(2000):
             a = draw()
             b = draw()
-            strong = div(a, b)
-            weak = div_weak(a, b)
+            strong = div(a, b, OpCounters())
+            weak = div_weak(a, b, OpCounters())
             ys = [y for y in UNIVERSE if contains(b, y)]
             for u in window:
                 if any(contains(a, u * y) for y in ys):
@@ -437,7 +478,7 @@ class TestEnumerationOracle:
             h = rng.randint(LO, HI)
             b = random_interval(rng)
             sb = as_set(b)
-            got = div_halfline((None, h), b)
+            got = div_halfline((None, h), b, OpCounters())
             want = {u for u in range(-lim, lim + 1)
                     for y in sb if u * y <= h}
             if not want:
@@ -460,14 +501,17 @@ class TestEnumerationOracle:
             b = random_interval(rng)
             a2 = (a[0] - rng.randint(0, 2), a[1] + rng.randint(0, 2))
             b2 = (b[0] - rng.randint(0, 2), b[1] + rng.randint(0, 2))
-            assert issubset(add(a, b), add(a2, b2))
-            assert issubset(sub(a, b), sub(a2, b2))
-            assert issubset(mult(a, b), mult(a2, b2))
-            assert issubset(div(a, b), div(a2, b2))
-            assert issubset(div_weak(a, b), div_weak(a2, b2))
+            assert issubset(add(a, b, OpCounters()), add(a2, b2, OpCounters()))
+            assert issubset(sub(a, b, OpCounters()), sub(a2, b2, OpCounters()))
+            assert issubset(mult(a, b, OpCounters()),
+                            mult(a2, b2, OpCounters()))
+            assert issubset(div(a, b, OpCounters()), div(a2, b2, OpCounters()))
+            assert issubset(div_weak(a, b, OpCounters()),
+                            div_weak(a2, b2, OpCounters()))
             for n in (2, 3):
-                assert issubset(exp(a, n), exp(a2, n))
-                small = root(a, n)
-                big = root(a2, n)
+                assert issubset(exp(a, n, OpCounters()),
+                                exp(a2, n, OpCounters()))
+                small = root(a, n, OpCounters())
+                big = root(a2, n, OpCounters())
                 for p in small:
                     assert any(issubset(p, q) for q in big)

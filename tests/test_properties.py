@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intprop.intervals import div, div_weak, exp, mult, root
+from intprop.intervals import OpCounters, div, div_weak, exp, mult, root
 from intprop.model import (
     MultAtom,
     PolynomialConstraint,
@@ -103,8 +103,8 @@ def q_issubset(p, q):
 @SETTINGS
 @given(intervals(), intervals())
 def test_integer_division_is_sound(a, b):
-    strong = div(a, b)
-    weak = div_weak(a, b)
+    strong = div(a, b, OpCounters())
+    weak = div_weak(a, b, OpCounters())
     xs = set(members(a))
     for y in members(b):
         for u in WINDOW:
@@ -116,7 +116,7 @@ def test_integer_division_is_sound(a, b):
 @SETTINGS
 @given(intervals(), intervals())
 def test_strong_division_refines_weak(a, b):
-    assert issubset(div(a, b), div_weak(a, b))
+    assert issubset(div(a, b, OpCounters()), div_weak(a, b, OpCounters()))
 
 
 @SETTINGS
@@ -124,14 +124,16 @@ def test_strong_division_refines_weak(a, b):
 def test_integer_division_is_monotone(data, a, b):
     a2 = data.draw(shrunk(a))
     b2 = data.draw(shrunk(b))
-    assert issubset(div(a2, b2), div(a, b)), (a, b, a2, b2)
-    assert issubset(div_weak(a2, b2), div_weak(a, b)), (a, b, a2, b2)
+    assert issubset(div(a2, b2, OpCounters()),
+                    div(a, b, OpCounters())), (a, b, a2, b2)
+    assert issubset(div_weak(a2, b2, OpCounters()),
+                    div_weak(a, b, OpCounters())), (a, b, a2, b2)
 
 
 @SETTINGS
 @given(intervals(), intervals())
 def test_rational_division_is_sound(a, b):
-    q = q_div(a, b)
+    q = q_div(a, b, OpCounters())
     if q is not None:
         assert all(x is None or x[1] > 0 for x in q)
     for y in members(b):
@@ -146,7 +148,8 @@ def test_rational_division_is_sound(a, b):
 def test_rational_division_is_monotone(data, a, b):
     a2 = data.draw(shrunk(a))
     b2 = data.draw(shrunk(b))
-    assert q_issubset(q_div(a2, b2), q_div(a, b)), (a, b, a2, b2)
+    assert q_issubset(q_div(a2, b2, OpCounters()),
+                      q_div(a, b, OpCounters())), (a, b, a2, b2)
 
 
 def assert_closure(result, values):
@@ -162,7 +165,8 @@ def assert_closure(result, values):
 @SETTINGS
 @given(intervals(), intervals())
 def test_multiplication_is_sound_and_minimal(a, b):
-    assert_closure(mult(a, b), [x * y for x in members(a) for y in members(b)])
+    assert_closure(mult(a, b, OpCounters()),
+                   [x * y for x in members(a) for y in members(b)])
 
 
 @SETTINGS
@@ -170,26 +174,28 @@ def test_multiplication_is_sound_and_minimal(a, b):
 def test_multiplication_is_monotone(data, a, b):
     a2 = data.draw(shrunk(a))
     b2 = data.draw(shrunk(b))
-    assert issubset(mult(a2, b2), mult(a, b)), (a, b, a2, b2)
+    assert issubset(mult(a2, b2, OpCounters()),
+                    mult(a, b, OpCounters())), (a, b, a2, b2)
 
 
 @SETTINGS
 @given(intervals(), powers)
 def test_power_is_sound_and_minimal(a, n):
-    assert_closure(exp(a, n), [x ** n for x in members(a)])
+    assert_closure(exp(a, n, OpCounters()), [x ** n for x in members(a)])
 
 
 @SETTINGS
 @given(st.data(), intervals(), powers)
 def test_power_is_monotone(data, a, n):
     a2 = data.draw(shrunk(a))
-    assert issubset(exp(a2, n), exp(a, n)), (a, a2, n)
+    assert issubset(exp(a2, n, OpCounters()),
+                    exp(a, n, OpCounters())), (a, a2, n)
 
 
 @SETTINGS
 @given(intervals(), powers)
 def test_root_is_exact_on_the_window(a, n):
-    parts = root(a, n)
+    parts = root(a, n, OpCounters())
     for u in WINDOW:
         assert any(contains(p, u) for p in parts) == contains(a, u ** n), \
             (a, n, u)
@@ -199,8 +205,8 @@ def test_root_is_exact_on_the_window(a, n):
 @given(st.data(), intervals(), powers)
 def test_root_is_monotone(data, a, n):
     a2 = data.draw(shrunk(a))
-    big = root(a, n)
-    for p in root(a2, n):
+    big = root(a, n, OpCounters())
+    for p in root(a2, n, OpCounters()):
         assert any(issubset(p, q) for q in big), (a, a2, n)
 
 
@@ -330,7 +336,7 @@ def applied(rule, box):
     rule changes nothing else, and reports a change exactly when it
     makes one."""
     store = list(box)
-    w = rule.apply(store, None)
+    w = rule.apply(store, OpCounters())
     assert all(store[v] == box[v] for v in range(NVARS) if v != rule.writes)
     assert w == (UNCHANGED if store == box else rule.writes), (w, box, store)
     return store[rule.writes]
