@@ -9,10 +9,10 @@ Examples::
 
 Exit status: 0 on success, also when ``--max-nodes`` or ``--time-limit``
 truncated a search (a warning goes to stderr); 1 when a complete search
-proves that the problem to maximize has no solution; 2 on usage or input
-errors: bad options, an unreadable, malformed or oversized problem, a
-variable that stays unbounded, or a propagation that exceeds its step
-limit.
+proves that the problem to maximize has no solution (its statistics are
+still printed); 2 on usage or input errors: bad options, an unreadable,
+malformed or oversized problem, a variable that stays unbounded, or a
+propagation that exceeds its step limit.
 """
 
 from __future__ import annotations
@@ -163,12 +163,13 @@ def _main(argv: Optional[List[str]]) -> int:
     variants = list(VARIANTS) if args.compare else [args.variant]
 
     reports = []
+    infeasible = False
     for variant in variants:
         try:
             stats, extra = _run(csp, goal, variant, mode, args)
-        except Infeasible:
-            print("infeasible: no solution exists", file=sys.stderr)
-            return 1
+        except Infeasible as e:
+            infeasible = True
+            stats, extra = e.stats, {"objective": None, "incumbents": []}
         except (UnboundedAfterPropagation, PropagationLimit,
                 ValueError) as e:
             print("intprop: %s" % e, file=sys.stderr)
@@ -187,7 +188,9 @@ def _main(argv: Optional[List[str]]) -> int:
         print(_csv(reports))
     else:
         print(_table(reports))
-    return 0
+    if infeasible:
+        print("infeasible: no solution exists", file=sys.stderr)
+    return 1 if infeasible else 0
 
 
 def _run(csp: CSP, goal: str, variant: str, mode: str, args):

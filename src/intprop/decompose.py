@@ -15,13 +15,10 @@ Variants
 ``fm`` / ``fs`` / ``fe``
     Full decomposition into linear constraints plus atoms: ``x*y = z``
     always, ``x = y**2`` also for ``fs``, ``x = y**n`` also for ``fe``.
-    New sub-terms always take the candidate with the largest exponent sum
-    (preferring a power over a product on ties, then the term whose
-    exponent vector is lexicographically smallest, which builds products
-    of many distinct variables nested from the rightmost pair).  Identical
-    sub-terms are shared across constraints.  Growing a sub-term tests
-    every pair of the sub-terms that divide it; a decomposition that would
-    test more than ``_MAX_PAIRS`` pairs raises ``ValueError``.
+    Identical sub-terms are shared across constraints; :class:`_SubTerms`
+    chooses them.  A product of k distinct variables tests (k - 1)(2k - 1)
+    pairs of sub-terms, and a decomposition that would test more than
+    ``_MAX_PAIRS`` pairs raises ``ValueError``.
 
 Auxiliaries
 -----------
@@ -111,9 +108,7 @@ def _replaced(c: PolynomialConstraint, variant: str) -> List[PowerProduct]:
     return pps
 
 
-# the most divisor pairs one full decomposition may test: _grow_towards
-# tests every pair at every step, so a product of k distinct variables
-# costs about k**3 / 6 pairs
+# pairs one full decomposition may test: (k - 1)(2k - 1) for k distinct factors
 _MAX_PAIRS = 10 ** 5
 
 
@@ -123,6 +118,19 @@ class _SubTerms:
     ``made`` maps each sub-term's power product over user variables to
     ``("mul", (pa, pb))`` or ``("pow", (pa, n))``, its arguments again
     power products; a user variable ``v`` is ``((v, 1),)``.
+
+    Each step towards a target makes the best candidate: a product of two
+    of its divisors, or (``fs``, ``fe``) a power of one, that divides it
+    and is not made yet.  The best has the largest exponent sum, then is a
+    power, then has the greatest ``_pp_key`` (so a product of distinct
+    variables nests from the rightmost pair); the first pair in ``i <= j``
+    order of the divisors makes a product, the last divisor a power.  Only
+    the first step tests every pair; later steps test the pairs with, and
+    the powers of, the newest sub-term ``c``, and choose the same: ``c``
+    outranked every candidate at its step, so ``c * x_v``, for any ``v``
+    with room left in the target, cannot already be made, since a made
+    multiple of ``c`` times a missing variable would then have outranked
+    ``c``; and ``c * x_v`` outranks every candidate without ``c``.
     """
 
     def __init__(self, variant: str):
@@ -145,66 +153,50 @@ class _SubTerms:
                     self.made.setdefault(((v, k),),
                                          ("pow", (((v, k // 2),), 2)))
                     k *= 2
-        while target not in self.made:
-            self._grow_towards(target)
-
-    def _grow_towards(self, target: PowerProduct) -> None:
         t_exp = dict(target)
-
-        def divides(pp):
-            return all(t_exp.get(v, 0) >= e for v, e in pp)
-
         # in creation order, user variables first, so a pair (pa, pb) with
         # pa first has its arguments in the order of their ids
         divisors = [((v, 1),) for v, _ in target]
-        divisors += [pp for pp in self.made if divides(pp)]
-        n = len(divisors)
-        self.pairs += n * (n + 1) // 2
-        if self.pairs > _MAX_PAIRS:
-            raise ValueError("full decomposition would test more than %d "
-                             "pairs of sub-terms" % _MAX_PAIRS)
-        # candidate new sub-terms: result pp -> ("mul"/"pow", args); powers
-        # are preferred over products for the same result
-        cands: Dict[PowerProduct, Tuple[str, tuple]] = {}
+        divisors += [pp for pp in self.made
+                     if all(t_exp.get(v, 0) >= e for v, e in pp)]
+        new = 0                 # the candidates use divisors[new:]
+        while target not in self.made:
+            n = len(divisors)
+            self.pairs += (n * (n + 1) - new * (new + 1)) // 2
+            if self.pairs > _MAX_PAIRS:
+                raise ValueError("full decomposition would test more than %d "
+                                 "pairs of sub-terms" % _MAX_PAIRS)
+            best = max((c for c in self._candidates(divisors, new, t_exp)
+                        if c[0] not in self.made), key=_rank, default=None)
+            if best is None:
+                raise AssertionError("no way to grow towards %r" % (target,))
+            self.made[best[0]] = best[1]
+            new = len(divisors)
+            divisors.append(best[0])
+
+    def _candidates(self, divisors, new, t_exp):
+        """Yield ``(result, definition)`` for the powers, then the pairs,
+        of ``divisors`` that use ``divisors[new:]`` and divide the target;
+        powers of the last divisor first, so the first yielded wins."""
+        # powers up to the greatest dividing the target (2 for fs, none for fm)
+        top = {"fm": 1, "fs": 2, "fe": max(t_exp.values())}[self.variant]
+        for pa in reversed(divisors[new:]):
+            for k in range(2, min([top] + [t_exp[v] // e for v, e in pa]) + 1):
+                yield tuple((v, e * k) for v, e in pa), ("pow", (pa, k))
         for i, pa in enumerate(divisors):
-            for pb in divisors[i:]:
-                d = dict(pa)
-                ok = True
-                for v, e in pb:
-                    ne = d.get(v, 0) + e
-                    if ne > t_exp.get(v, 0):
-                        ok = False
-                        break
-                    d[v] = ne
-                if not ok:
-                    continue
-                res = tuple(sorted(d.items()))
-                if res in self.made:
-                    continue
-                if res not in cands:
-                    cands[res] = ("mul", (pa, pb))
-        if self.variant in ("fs", "fe"):
-            top = 2 if self.variant == "fs" else None
-            for pa in divisors:
-                k = 2
-                while top is None or k <= top:
-                    d = {v: e * k for v, e in pa}
-                    if any(e > t_exp.get(v, 0) for v, e in d.items()):
-                        break
-                    res = tuple(sorted(d.items()))
-                    if res not in self.made:
-                        cands[res] = ("pow", (pa, k))
-                    k += 1
-        best = None
-        best_key = None
-        for res, (kind, args) in cands.items():
-            key = (sum(e for _, e in res), kind == "pow")
-            if best is None or key > best_key or \
-                    (key == best_key and _pp_key(res) > _pp_key(best)):
-                best, best_key = res, key
-        if best is None:
-            raise AssertionError("no way to grow towards %r" % (target,))
-        self.made[best] = cands[best]
+            for pb in divisors[max(i, new):]:
+                d = dict(pb)
+                for v, e in pa:
+                    d[v] = d.get(v, 0) + e
+                if all(d[v] <= t_exp[v] for v, _ in pa):
+                    yield tuple(sorted(d.items())), ("mul", (pa, pb))
+
+
+def _rank(candidate):
+    """A candidate's rank: its exponent sum, then a power above a product,
+    then its ``_pp_key``."""
+    res, (kind, _) = candidate
+    return sum(e for _, e in res), kind == "pow", _pp_key(res)
 
 
 def _number(made: Dict[PowerProduct, Tuple[str, tuple]],
@@ -305,8 +297,8 @@ def _backward(a, rules, def_rules, fragment):
             _backward(dep, rules, def_rules, fragment)
 
 
-def decompose(csp: CSP, variant: str, division: str = "weak",
-              branch_exclude: Sequence[int] = ()) -> DecomposedCSP:
+def decompose(csp: CSP, variant: str,
+              division: str = "weak") -> DecomposedCSP:
     """Rewrite a CSP for one variant and prepare its rules and schedule."""
     if variant not in VARIANTS:
         raise ValueError("unknown variant %r" % variant)
@@ -364,9 +356,7 @@ def decompose(csp: CSP, variant: str, division: str = "weak",
 
     readers = readers_index(rules, len(names))
     schedule = _generate_schedule(rules, user_rule_indices, def_rules)
-    excluded = set(branch_exclude)
-    branch_order = [v for v in range(n_user) if v not in excluded]
-    branch_order += [d.var for d in defs]
+    branch_order = list(range(n_user)) + [d.var for d in defs]
 
     return DecomposedCSP(
         variant=variant, division=division, names=names,

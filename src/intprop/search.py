@@ -24,7 +24,9 @@ the store once and pushes the upper half, then the lower half.
 :func:`maximize` adds a variable equated with the objective, and each
 accepted solution becomes the incumbent: the remaining search only admits
 strictly larger objective values, so the incumbent sequence is strictly
-increasing and the last solution is optimal.
+increasing and the last solution is optimal.  The search never splits
+the objective variable, the last user variable: propagation fixes it
+once the others are fixed.
 
 ``max_nodes`` truncates a search: it stops before the node that would
 exceed the budget, ``stats.complete`` is false, and both entry points
@@ -61,7 +63,12 @@ class UnboundedAfterPropagation(Exception):
 
 
 class Infeasible(Exception):
-    """A complete maximization search found no solution at all."""
+    """A complete maximization search, whose ``stats`` it holds, found no
+    solution at all."""
+
+    def __init__(self, stats: SearchStats):
+        super().__init__("no solution satisfies the constraints")
+        self.stats = stats
 
 
 @dataclass
@@ -211,8 +218,8 @@ def maximize(csp: CSP, objective: Optional[Expr] = None,
     incumbent, so solutions stream in strictly increasing objective order.
     Returns (best assignment, best value, stats), which after truncation
     by ``max_nodes`` or ``time_limit`` are the last incumbent or
-    ``(None, None)``; raises :class:`Infeasible` when a complete search
-    finds no solution.
+    ``(None, None)``; raises :class:`Infeasible`, which carries the
+    stats, when a complete search finds no solution.
     """
     if objective is None:
         objective = csp.objective
@@ -222,7 +229,7 @@ def maximize(csp: CSP, objective: Optional[Expr] = None,
                constraints=list(csp.constraints))
     obj_var = work.add_var("_objective", (None, None))
     work.constraints.append(normalize(Var(obj_var), "=", objective))
-    dec = decompose(work, variant, division, branch_exclude=(obj_var,))
+    dec = decompose(work, variant, division)
     best: Optional[Assignment] = None
 
     def found(values: List[int]) -> None:
@@ -233,6 +240,6 @@ def maximize(csp: CSP, objective: Optional[Expr] = None,
                         time_limit=time_limit)
     if best is None:
         if stats.complete:
-            raise Infeasible("no solution satisfies the constraints")
+            raise Infeasible(stats)
         return None, None, stats
     return best, stats.incumbents[-1], stats

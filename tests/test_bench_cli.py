@@ -7,6 +7,7 @@ import pytest
 
 from intprop.bench import build_benchmark
 from intprop.cli import main
+from intprop.decompose import VARIANTS
 from intprop.model import PolynomialConstraint
 
 
@@ -148,7 +149,8 @@ class TestCli:
 
     def test_oversized_decomposition_exit_code(self, tmp_path, capsys):
         p = tmp_path / "long.csp"
-        names = ["x%d" % i for i in range(60)]
+        # 225 factors test more than 10**5 pairs of sub-terms
+        names = ["x%d" % i for i in range(225)]
         p.write_text("".join("var %s in [1..2]; " % x for x in names)
                      + "\nconstraint %s = 2;" % "*".join(names))
         code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
@@ -164,6 +166,23 @@ class TestCli:
         code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
         assert code == 1
         assert "infeasible" in err
+        # the statistics of the complete search are printed all the same
+        p.write_text("var x in [1..3]; constraint x*x = 5; maximize x;")
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--stats", "json")
+        assert code == 1
+        assert "infeasible: no solution exists" in err
+        rep = json.loads(out)
+        assert rep["complete"] is True and rep["objective"] is None
+        assert rep["solutions"] == 0 and rep["drf_applications"] > 0
+        # every variant runs before the verdict
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--compare", "--stats", "csv")
+        assert code == 1
+        assert "infeasible: no solution exists" in err
+        rows = out.strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == list(VARIANTS)
+        assert all(",True," in r for r in rows)
 
     def test_truncated_maximize_is_not_infeasible(self, capsys):
         code, out, err = run_cli(capsys, "--problem", "opt", "--n", "200",

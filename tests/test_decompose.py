@@ -153,23 +153,23 @@ class TestFullHeuristics:
         assert names_of(dec, second.args)[0] == "x3"
 
     def test_decomposition_cost_is_capped(self, monkeypatch):
-        # a product of k distinct variables tests about k**3 / 6 pairs of
-        # sub-terms: 71,500 at 40 factors, past the cap of 10**5 at 45
+        # a product of k distinct variables tests (k - 1) * (2k - 1) pairs
+        # of sub-terms: 99,681 at 224 factors, past the cap of 10**5 at 225
         def product(k):
             return parse("".join("var x%d in [1..2]; " % i for i in range(k))
                          + "constraint %s = 2;"
                          % "*".join("x%d" % i for i in range(k)))
 
-        assert len(decompose(product(40), "fe").aux_defs) == 39
+        assert len(decompose(product(224), "fe").aux_defs) == 223
         with pytest.raises(ValueError, match="more than 100000 pairs"):
-            decompose(product(45), "fe")
-        # 8,550 pairs at 20 factors
-        monkeypatch.setattr(decompose_module, "_MAX_PAIRS", 8550)
+            decompose(product(225), "fe")
+        # 741 pairs at 20 factors
+        monkeypatch.setattr(decompose_module, "_MAX_PAIRS", 741)
         for variant in ("fm", "fs", "fe"):
             decompose(product(20), variant)
-        monkeypatch.setattr(decompose_module, "_MAX_PAIRS", 8549)
+        monkeypatch.setattr(decompose_module, "_MAX_PAIRS", 740)
         for variant in ("fm", "fs", "fe"):
-            with pytest.raises(ValueError, match="more than 8549 pairs"):
+            with pytest.raises(ValueError, match="more than 740 pairs"):
                 decompose(product(20), variant)
 
     def test_unused_auxiliaries_are_dropped(self):

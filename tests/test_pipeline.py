@@ -131,8 +131,8 @@ def run(text, variant, division, mode):
         return sorted(sols), stats
     try:
         best, best_value, stats = maximize(csp, **args)
-    except Infeasible:
-        return "infeasible", None
+    except Infeasible as e:
+        return "infeasible", e.stats
     return (best, best_value), stats
 
 
@@ -145,9 +145,8 @@ def test_every_configuration_matches_brute_force(problem):
         got, stats = run(text, *config)
         again, stats_again = run(text, *config)
         assert got == again, (config, text)
-        if stats is not None:
-            assert stats.complete, (config, text)
-            assert work(stats) == work(stats_again), (config, text)
+        assert stats.complete, (config, text)
+        assert work(stats) == work(stats_again), (config, text)
         if objective is None:
             assert got == sorted(want), (config, text)
         elif not want:

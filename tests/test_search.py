@@ -255,8 +255,12 @@ class TestMaximize:
             constraint x^2 = 3;
             maximize x;
         """)
-        with pytest.raises(Infeasible):
+        with pytest.raises(Infeasible) as e:
             maximize(csp, variant="du")
+        # the proof's statistics come with it
+        stats = e.value.stats
+        assert stats.complete and stats.solutions == 0
+        assert stats.drf_applications > 0 and stats.incumbents == []
 
     def test_truncation_is_not_infeasibility(self):
         # opt(200) has optimum 37543; five nodes reach no incumbent
