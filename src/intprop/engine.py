@@ -17,13 +17,16 @@ fixpoint is unique.
 The loop is the solver's hottest path, so it does little per application:
 it calls each rule through a list of bound ``apply`` methods that
 :class:`Solver` builds once, and keeps the pending count in a local that
-it writes back to ``n_pending`` on every way out (fixpoint, wipe-out or
-:class:`PropagationLimit`).  Since the list is built in ``__init__``, a
-solver calls whatever ``apply`` a rule class has when the solver is built.
+it writes back to ``n_pending`` on every way out (fixpoint, wipe-out,
+:class:`PropagationLimit` or :class:`DeadlineReached`).  Since the list is
+built in ``__init__``, a solver calls whatever ``apply`` a rule class has
+when the solver is built.  The step limit and the deadline are checked
+once per sweep, so a propagation stops at most one sweep after either.
 """
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Iterable, Optional
 
 from .intervals import OpCounters
@@ -35,6 +38,12 @@ DEFAULT_STEP_LIMIT = 10 ** 8
 
 class PropagationLimit(RuntimeError):
     """Raised when a propagation run exceeds the application budget."""
+
+
+class DeadlineReached(Exception):
+    """Raised when a propagation run is still going at the solver's
+    deadline; the store is left between two sweeps, short of a
+    fixpoint."""
 
 
 class Solver:
@@ -49,10 +58,15 @@ class Solver:
     other instances.  Op counters do not depend on earlier runs; runs that
     interleave may count more, since each re-evaluates the snapshots the
     other replaced.
+
+    ``deadline``, a :func:`time.perf_counter` value or ``None``, makes
+    :meth:`propagate` raise :class:`DeadlineReached` after the first sweep
+    that ends at or past it.
     """
 
     def __init__(self, decomposed, mode: str = "scheduled",
-                 step_limit: int = DEFAULT_STEP_LIMIT):
+                 step_limit: int = DEFAULT_STEP_LIMIT,
+                 deadline: Optional[float] = None):
         if mode not in ("scheduled", "cycle"):
             raise ValueError("mode must be 'scheduled' or 'cycle'")
         self.rules = decomposed.rules
@@ -63,6 +77,7 @@ class Solver:
                       else range(len(self.rules)))
         self.counters = OpCounters()
         self.step_limit = step_limit
+        self.deadline = deadline
         self.applications = 0
         self.effective = 0
         self.pending = bytearray(len(self.rules))
@@ -100,6 +115,7 @@ class Solver:
         apps = self.applications
         eff = self.effective
         limit = self.step_limit
+        deadline = self.deadline
         try:
             while np:
                 for i in self.order:
@@ -123,6 +139,8 @@ class Solver:
                 if apps > limit:
                     raise PropagationLimit(
                         "more than %d rule applications" % limit)
+                if deadline is not None and perf_counter() >= deadline:
+                    raise DeadlineReached()
             return FIXPOINT
         finally:
             self.n_pending = np

@@ -38,12 +38,18 @@ in interval arithmetic when a bound is infinite (both linear rules).
 rule: the interpreter cannot specialize an attribute load in code that
 rules of many classes share.
 
-The linear rules, the most frequent rules of a full decomposition, are
-the one exception.  With every bound finite, ``LinearEqRule`` divides its
-residue by ``a_j`` and narrows in place, and ``LinearIneqRule`` divides
-its half-line before it calls ``_narrow``.  Both count the operations
-``intervals.div_scalar`` would: ``a_j = ±1`` as ``multF``, any other as
-``div``.  ``_narrow`` stays the narrowing routine of every other rule.
+The linear rules and ``MultRule``, the most frequent rules of a full
+decomposition, are the exceptions.  With every bound finite,
+``LinearEqRule`` divides its residue by ``a_j`` and narrows in place, and
+``LinearIneqRule`` divides its half-line before it calls ``_narrow``.
+Both count the operations ``intervals.div_scalar`` would: ``a_j = ±1`` as
+``multF``, any other as ``div``.  With every bound of both operands
+finite, ``MultRule`` multiplies by ``intervals.mult``'s sign-class table,
+or, under weak division and with a zero-free denominator, divides by the
+zero-free endpoint table of ``intervals.div_weak``, and narrows in place;
+it counts one ``multI`` or one ``div``, as those kernels do.  It calls
+its kernel and ``_narrow`` on any other store.  ``_narrow`` stays the
+narrowing routine of every other rule.
 
 Updates always intersect with the current domain, so every rule is a
 contraction, and monotone interval operations make the common fixpoint
@@ -553,13 +559,25 @@ class PolyRule(Rule):
 class MultRule(Rule):
     """One of the three reduction directions of `x*y = z`: kind 1 bounds z
     by ``x*y``, kind 2 x by ``z/y``, kind 3 y by ``z/x``.  The kernel
-    ``fn`` and its operands ``a``, ``b`` are fixed when the rule is built."""
+    ``fn`` and its operands ``a``, ``b`` are fixed when the rule is built.
 
-    __slots__ = ("kind", "fn", "a", "b")
+    With every bound of both operands finite, kind 1 takes the endpoint
+    products of :func:`~intprop.intervals.mult`'s sign-class table and
+    counts one ``multI``; under weak division with a zero-free
+    denominator, kinds 2 and 3 take the two floor divisions of the
+    zero-free endpoint table and count one ``div``, as
+    :func:`~intprop.intervals.div_weak` does.  Both narrow the written
+    domain in place.  Any other store (an infinite bound that the table
+    reads, a denominator holding 0, strong division) goes through ``fn``
+    and :func:`_narrow`.
+    """
+
+    __slots__ = ("kind", "fn", "a", "b", "weak")
 
     def __init__(self, kind: int, x: int, y: int, z: int,
                  division: str = "weak"):
         self.kind = kind
+        self.weak = division == "weak"
         if kind == 1:
             self.fn, self.a, self.b, self.writes = iv.mult, x, y, z
             self.reads = (x, y)
@@ -574,8 +592,72 @@ class MultRule(Rule):
         return "Mult%d%s" % (self.kind, w)
 
     def apply(self, store, ctr):
-        return _narrow(store, self.writes,
-                       self.fn(store[self.a], store[self.b], ctr))
+        da = store[self.a]
+        db = store[self.b]
+        a0, a1 = da
+        b0, b1 = db
+        # the tables of iv.mult and iv._endpoint_div inline, with the same
+        # op counts; an infinite (None) bound raises TypeError before any
+        # count, except the far end of a positive denominator, which the
+        # row of a numerator straddling 0 does not read: that row holds
+        # for an infinite far end too
+        try:
+            if self.kind == 1:
+                if a0 >= 0:
+                    if b0 >= 0:
+                        lo, hi = a0 * b0, a1 * b1
+                    elif b1 <= 0:
+                        lo, hi = a1 * b0, a0 * b1
+                    else:
+                        lo, hi = a1 * b0, a1 * b1
+                elif a1 <= 0:
+                    if b0 >= 0:
+                        lo, hi = a0 * b1, a1 * b0
+                    elif b1 <= 0:
+                        lo, hi = a1 * b1, a0 * b0
+                    else:
+                        lo, hi = a0 * b1, a0 * b0
+                elif b0 >= 0:
+                    lo, hi = a0 * b1, a1 * b1
+                elif b1 <= 0:
+                    lo, hi = a1 * b0, a0 * b0
+                else:
+                    p = a0 * b1
+                    q = a1 * b0
+                    r = a0 * b0
+                    s = a1 * b1
+                    lo = p if p < q else q
+                    hi = r if r > s else s
+                ctr.multI += 1
+            elif self.weak and (b0 > 0 or b1 < 0):
+                if b0 > 0:
+                    if a0 >= 0:
+                        lo, hi = -((-a0) // b1), a1 // b0
+                    elif a1 <= 0:
+                        lo, hi = -((-a0) // b0), a1 // b1
+                    else:
+                        lo, hi = -((-a0) // b0), a1 // b0
+                elif a0 >= 0:
+                    lo, hi = -((-a1) // b1), a0 // b0
+                elif a1 <= 0:
+                    lo, hi = -((-a1) // b0), a0 // b1
+                else:
+                    lo, hi = -((-a1) // b1), a0 // b1
+                ctr.div += 1
+            else:
+                return _narrow(store, self.writes, self.fn(da, db, ctr))
+        except TypeError:
+            return _narrow(store, self.writes, self.fn(da, db, ctr))
+        w = self.writes
+        d0, d1 = store[w]
+        if d0 is not None and d0 >= lo:
+            lo = d0
+        if d1 is not None and d1 <= hi:
+            hi = d1
+        if lo is d0 and hi is d1:
+            return UNCHANGED
+        store[w] = None if lo > hi else (lo, hi)
+        return w
 
 
 class ExpoRule(Rule):

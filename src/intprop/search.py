@@ -33,9 +33,9 @@ exceed the budget, ``stats.complete`` is false, and both entry points
 return what was found so far (for :func:`maximize`, the last incumbent, or
 none).  ``time_limit`` (seconds, counted from the start of the search,
 root propagation included) truncates it in the same way, before the first
-node popped after the limit; the clock is read only when a limit is set,
-and a propagation under way is not interrupted.  Only a complete search
-can prove that there is no solution.
+node popped after the limit or at the end of the first propagation sweep
+past it; the clock is read only when a limit is set.  Only a complete
+search can prove that there is no solution.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from .decompose import DecomposedCSP, decompose
-from .engine import FIXPOINT, Solver
+from .engine import FIXPOINT, DeadlineReached, Solver
 from . import intervals as iv
 from .intervals import OpCounters
 from .model import CSP, Expr, Var, check_origin, normalize
@@ -111,7 +111,7 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
                         n_rules=len(dec.rules))
     t0 = time.perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
-    solver = Solver(dec, mode=mode)
+    solver = Solver(dec, mode=mode, deadline=deadline)
     stats.counters = solver.counters
     store = solver.store
     order = dec.branch_order
@@ -131,45 +131,48 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
 
     stack = []
     solver.flag_all()
-    if not dec.infeasible and solver.propagate() == FIXPOINT:
-        for v in order:
-            d = store[v]
-            if d[0] is None or d[1] is None:
-                raise UnboundedAfterPropagation(dec.names[v])
-        stack.append((None, 0, None, None))   # the root: propagated already
-    while stack:
-        saved, k, v, half = stack.pop()
-        if ((max_nodes is not None and stats.nodes >= max_nodes)
-                or (deadline is not None
-                    and time.perf_counter() >= deadline)):
-            stats.complete = False
-            break
-        stats.nodes += 1
-        if saved is not None:
-            store[:] = saved
-            store[v] = half
-            seeds = [v]
-            failed = False
-            if incumbents:
-                dc = store[objective]
-                nd = iv.intersect(dc, (incumbents[-1] + 1, None))
-                if nd != dc:
-                    store[objective] = nd
-                    seeds.append(objective)
-                    failed = nd is None
-            if failed or solver.propagate(seeds) != FIXPOINT:
+    try:
+        if not dec.infeasible and solver.propagate() == FIXPOINT:
+            for v in order:
+                d = store[v]
+                if d[0] is None or d[1] is None:
+                    raise UnboundedAfterPropagation(dec.names[v])
+            stack.append((None, 0, None, None))  # the root, propagated
+        while stack:
+            saved, k, v, half = stack.pop()
+            if ((max_nodes is not None and stats.nodes >= max_nodes)
+                    or (deadline is not None
+                        and time.perf_counter() >= deadline)):
+                stats.complete = False
+                break
+            stats.nodes += 1
+            if saved is not None:
+                store[:] = saved
+                store[v] = half
+                seeds = [v]
+                failed = False
+                if incumbents:
+                    dc = store[objective]
+                    nd = iv.intersect(dc, (incumbents[-1] + 1, None))
+                    if nd != dc:
+                        store[objective] = nd
+                        seeds.append(objective)
+                        failed = nd is None
+                if failed or solver.propagate(seeds) != FIXPOINT:
+                    continue
+            while k < len(order) and store[order[k]][0] == store[order[k]][1]:
+                k += 1
+            if k == len(order):
+                accept([store[v][0] for v in range(n_user)])
                 continue
-        while k < len(order) and store[order[k]][0] == store[order[k]][1]:
-            k += 1
-        if k == len(order):
-            accept([store[v][0] for v in range(n_user)])
-            continue
-        v = order[k]
-        lo, hi = store[v]
-        mid = (lo + hi) // 2
-        saved = store[:]
-        stack.append((saved, k, v, (mid + 1, hi)))
-        stack.append((saved, k, v, (lo, mid)))
+            v = order[k]
+            lo, hi = store[v]
+            mid = (lo + hi) // 2
+            saved = store[:]
+            stack.append((saved, k, v, (mid + 1, hi)))
+            stack.append((saved, k, v, (lo, mid)))
+    except DeadlineReached:
+        stats.complete = False
     stats.drf_applications = solver.applications
     stats.drf_effective = solver.effective
     stats.elapsed = time.perf_counter() - t0

@@ -221,6 +221,22 @@ class TestCli:
         assert err == ("warning: time limit reached: search truncated at "
                        "%d nodes (incomplete)\n" % rep["nodes"])
 
+    def test_time_limit_stops_a_diverging_propagation(self, tmp_path,
+                                                      capsys):
+        p = tmp_path / "diverging.csp"
+        p.write_text("var x0 in Z;\nconstraint -2*x0^2 + 3*x0^3 = 8;\n"
+                     "solve all;")
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--variant", "du", "--time-limit", "0.2",
+                                 "--stats", "json")
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["complete"] is False and rep["nodes"] == 0
+        assert err == ("warning: time limit reached: search truncated at "
+                       "0 nodes (incomplete)\n")
+
     def test_negative_time_limit_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["--problem", "sumprod", "--time-limit", "-1"])

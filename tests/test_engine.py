@@ -3,7 +3,12 @@ import random
 import pytest
 
 from intprop.decompose import decompose
-from intprop.engine import FIXPOINT, PropagationLimit, Solver
+from intprop.engine import (
+    FIXPOINT,
+    DeadlineReached,
+    PropagationLimit,
+    Solver,
+)
 from intprop.intervals import OpCounters
 from intprop.model import CSP, Lit, Mul, MultAtom, Var, normalize, parse
 from intprop.rules import UNCHANGED
@@ -112,6 +117,20 @@ class TestPropagate:
         s.flag_all()
         with pytest.raises(PropagationLimit):
             s.propagate()
+
+    def test_deadline_guard(self):
+        # a deadline already past stops the run after its first sweep,
+        # with the pending count written back
+        dec = decompose(parse("""
+            var u in [1..81]; var v in [1..81];
+            constraint 100*u - 10*v = 212;
+        """), "du")
+        s = Solver(dec, deadline=0.0)
+        s.flag_all()
+        with pytest.raises(DeadlineReached):
+            s.propagate()
+        assert 0 < s.applications <= len(dec.schedule)
+        assert s.n_pending == sum(s.pending) > 0
 
     def test_pending_count_matches_the_flags(self):
         # propagate keeps the count in a local and writes it back on every

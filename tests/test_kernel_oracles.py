@@ -327,3 +327,82 @@ class TestLinearRules:
                 got = rules._narrow(store, 0, q)
                 assert store == [want], (dom, q)
                 assert got == (rules.UNCHANGED if want == dom else 0), (dom, q)
+
+
+def mult_oracle_rule(rule, fn, store, ctr):
+    # the generic path: the rule's kernel, then _narrow
+    return rules._narrow(store, rule.writes,
+                         fn(store[rule.a], store[rule.b], ctr))
+
+
+def written_domains(q):
+    # domains of the written variable that the result q leaves unchanged
+    # (a fresh copy of q), narrows (Z, and q moved up by one) or empties
+    if q is None:
+        return [(None, None), (0, 0)]
+    lo, hi = q
+    fresh = tuple(None if x is None else int(str(x)) for x in q)
+    up = tuple(None if x is None else x + 1 for x in q)
+    out = [(None, None), fresh, up]
+    if hi is not None:
+        out.append((hi + 1, hi + 2))
+    elif lo is not None:
+        out.append((lo - 2, lo - 1))
+    return out
+
+
+# (kind, x, y, z): the three directions of x*y = z, and squaring, kind 2
+MULT_RULES = ((1, 0, 1, 2), (2, 0, 1, 2), (3, 0, 1, 2), (2, 0, 0, 2))
+
+
+class TestMultRules:
+    """``MultRule.apply`` multiplies or divides and narrows in place on
+    finite stores; its oracle is the kernel ``fn`` and ``_narrow``."""
+
+    @pytest.mark.parametrize("offset, ivs", LINEAR_GRIDS, ids=GRID_IDS)
+    @pytest.mark.parametrize("division", ("weak", "strong"))
+    @pytest.mark.parametrize("kind, x, y, z", MULT_RULES,
+                             ids=("mult", "div_y", "div_x", "square"))
+    def test_every_domain_pair(self, kind, x, y, z, division, offset, ivs):
+        rule = rules.MultRule(kind, x, y, z, division)
+        fn = rule.fn
+        spied = []
+
+        def spy(a, b, ctr):
+            spied.append(True)
+            return fn(a, b, ctr)
+
+        rule.fn = spy
+        # the first operand moves with the offset, the second keeps every
+        # sign class (a squaring rule's operands are both the written x)
+        firsts = [d for d in shifted(ivs, offset) if d is not None]
+        seconds = [d for d in ivs if d is not None]
+        outcomes = set()
+        for da in firsts:
+            for db in seconds:
+                q = fn(da, db, OpCounters())
+                for dw in ([db] if x == y else written_domains(q)):
+                    store = [(None, None)] * 3
+                    store[rule.a] = da
+                    store[rule.b] = db
+                    store[rule.writes] = dw
+                    want_store = list(store)
+                    got_ctr, want_ctr = OpCounters(), OpCounters()
+                    del spied[:]
+                    got = rule.apply(store, got_ctr)
+                    want = mult_oracle_rule(rule, fn, want_store, want_ctr)
+                    case = (da, db, dw)
+                    assert got == want, case
+                    assert store == want_store, case
+                    assert got_ctr.as_dict() == want_ctr.as_dict(), case
+                    # a bounded store skips the kernel where the table
+                    # applies; strong division always calls it
+                    if kind == 1 or (division == "weak" and
+                                     not intervals.contains_zero(db)):
+                        assert not (None not in da + db and spied), case
+                    else:
+                        assert spied, case
+                    outcomes.add("unchanged" if want < 0 else
+                                 "emptied" if store[want] is None
+                                 else "narrowed")
+        assert outcomes == {"unchanged", "emptied", "narrowed"}

@@ -303,6 +303,13 @@ class TestDeepSearch:
         assert x + y == self.N and x - 2 * y == val == stats.incumbents[-1]
 
 
+DIVERGING = """
+    var x0 in Z;
+    constraint -2*x0^2 + 3*x0^3 = 8;
+    solve all;
+"""
+
+
 class TestTimeLimit:
     """A search of 10^400 solutions cannot finish: a time limit stops it
     soon after the limit, as a node budget would."""
@@ -330,6 +337,16 @@ class TestTimeLimit:
         best, val, stats = maximize(opt(200), variant="fm", time_limit=0)
         assert (best, val) == (None, None)
         assert not stats.complete and stats.nodes == 0
+
+    @pytest.mark.parametrize("variant", ("du", "pu", "fe"))
+    def test_a_diverging_root_propagation_is_cut(self, variant):
+        # no integer root: propagation raises the lower bound of x0 for
+        # ever, and each sweep takes about twice as long as the last
+        t0 = time.perf_counter()
+        sols, stats = solve_all(parse(DIVERGING), variant=variant,
+                                time_limit=0.2)
+        assert time.perf_counter() - t0 < 2.0
+        assert sols == [] and not stats.complete and stats.nodes == 0
 
     def test_a_search_within_the_limit_is_complete(self):
         sols, stats = solve_all(sumprod(6), time_limit=60.0)
