@@ -93,7 +93,8 @@ def _load_problem(spec: str, n: Optional[int]) -> CSP:
             raise ValueError("a problem file takes no size")
         path = spec[5:]
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            # utf-8-sig drops a leading byte-order mark
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as e:
             print("intprop: cannot read %s: %s" % (path, e.strerror),

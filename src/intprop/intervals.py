@@ -25,7 +25,9 @@ corners that bound the result, so a product takes two multiplications
 (four only when both factors straddle 0) and a quotient by a zero-free
 denominator two floor divisions.  Infinite bounds take every corner, with
 infinity absorption.  :func:`exp`, :func:`root` and :func:`div_scalar`
-split on sign in the same way.
+split on sign in the same way.  These tables are written only here:
+``rules.MultRule`` and ``rules.eval_monomial`` inline the non-negative
+row alone and call these kernels for every other sign class.
 
 Every arithmetic operation takes an :class:`OpCounters` sink and bumps
 exactly one category, also for an empty operand; the lattice operations

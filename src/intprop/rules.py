@@ -44,12 +44,17 @@ decomposition, are the exceptions.  With every bound finite,
 ``LinearIneqRule`` divides its half-line before it calls ``_narrow``.
 Both count the operations ``intervals.div_scalar`` would: ``a_j = ±1`` as
 ``multF``, any other as ``div``.  With every bound of both operands
-finite, ``MultRule`` multiplies by ``intervals.mult``'s sign-class table,
-or, under weak division and with a zero-free denominator, divides by the
-zero-free endpoint table of ``intervals.div_weak``, and narrows in place;
+finite and non-negative, ``MultRule`` multiplies by the non-negative row
+of ``intervals.mult``'s sign-class table, or, under weak division and
+with a positive denominator, divides by the non-negative row of
+``intervals.div_weak``'s zero-free endpoint table, and narrows in place;
 it counts one ``multI`` or one ``div``, as those kernels do.  It calls
 its kernel and ``_narrow`` on any other store.  ``_narrow`` stays the
-narrowing routine of every other rule.
+narrowing routine of every other rule.  :func:`eval_monomial` likewise
+inlines only the non-negative rows of ``intervals.exp`` and
+``intervals.mult``, for factors that are finite and non-negative.  These
+rows are the only ones the benchmark workloads reach; every other sign
+class has its one implementation in :mod:`~intprop.intervals`.
 
 Updates always intersect with the current domain, so every rule is a
 contraction, and monotone interval operations make the common fixpoint
@@ -82,55 +87,35 @@ DomainStore = List[Interval]
 
 def eval_monomial(coeff: int, pp: PowerProduct, store: DomainStore,
                   ctr: OpCounters) -> Interval:
-    """Interval of a monomial: powers, pairwise products, coefficient."""
+    """Interval of a monomial: powers, pairwise products, coefficient.
+
+    While every factor is finite and non-negative, the powers and products
+    are the non-negative rows of :func:`~intprop.intervals.exp`'s and
+    :func:`~intprop.intervals.mult`'s tables, taken inline with the same op
+    counts.  Any other store goes through those kernels and
+    :func:`~intprop.intervals.scale`.
+    """
     if not pp:
         return (coeff, coeff)
     try:
-        # all-bounded fast path; None bounds raise TypeError below
-        v, e = pp[0]
-        f0, f1 = store[v]
-        if e > 1:
-            if e % 2 == 1 or f0 >= 0:
-                f0, f1 = f0 ** e, f1 ** e
-            elif f1 <= 0:
-                f0, f1 = f1 ** e, f0 ** e
-            else:
-                f0, f1 = 0, max(f0 ** e, f1 ** e)
-        n_exp = 1 if pp[0][1] > 1 else 0
-        for v, e in pp[1:]:
+        # the coefficient first; an infinite (None) bound raises TypeError
+        # before any count
+        f0 = f1 = coeff
+        n_exp = 0
+        for v, e in pp:
             g0, g1 = store[v]
+            if g0 < 0:
+                break
             if e > 1:
                 n_exp += 1
-                if e % 2 == 1 or g0 >= 0:
-                    g0, g1 = g0 ** e, g1 ** e
-                elif g1 <= 0:
-                    g0, g1 = g1 ** e, g0 ** e
-                else:
-                    g0, g1 = 0, max(g0 ** e, g1 ** e)
-            if f0 >= 0 and g0 >= 0:
-                f0 = f0 * g0
-                f1 = f1 * g1
-                continue
-            p = f0 * g0
-            q = f0 * g1
-            r = f1 * g0
-            s = f1 * g1
-            if q < p:
-                p, q = q, p
-            if s < r:
-                r, s = s, r
-            f0 = p if p < r else r
-            f1 = q if q > s else s
-        if coeff > 0:
-            out = (f0 * coeff, f1 * coeff)
-        elif coeff == 0:
-            out = (0, 0)
+                g0, g1 = g0 ** e, g1 ** e
+            f0 *= g0
+            f1 *= g1
         else:
-            out = (f1 * coeff, f0 * coeff)
-        ctr.exp += n_exp
-        ctr.multI += len(pp) - 1
-        ctr.multF += 1
-        return out
+            ctr.exp += n_exp
+            ctr.multI += len(pp) - 1
+            ctr.multF += 1
+            return (f0, f1) if coeff > 0 else (f1, f0)
     except TypeError:
         pass
     v, e = pp[0]
@@ -561,15 +546,15 @@ class MultRule(Rule):
     by ``x*y``, kind 2 x by ``z/y``, kind 3 y by ``z/x``.  The kernel
     ``fn`` and its operands ``a``, ``b`` are fixed when the rule is built.
 
-    With every bound of both operands finite, kind 1 takes the endpoint
-    products of :func:`~intprop.intervals.mult`'s sign-class table and
-    counts one ``multI``; under weak division with a zero-free
-    denominator, kinds 2 and 3 take the two floor divisions of the
-    zero-free endpoint table and count one ``div``, as
-    :func:`~intprop.intervals.div_weak` does.  Both narrow the written
-    domain in place.  Any other store (an infinite bound that the table
-    reads, a denominator holding 0, strong division) goes through ``fn``
-    and :func:`_narrow`.
+    With every bound of both operands finite and both lower bounds
+    non-negative, kind 1 takes the non-negative row of
+    :func:`~intprop.intervals.mult`'s sign-class table and counts one
+    ``multI``; under weak division with a positive denominator, kinds 2
+    and 3 take the non-negative row of the zero-free endpoint table and
+    count one ``div``, as :func:`~intprop.intervals.div_weak` does.  Both
+    narrow the written domain in place.  Any other store (an infinite
+    bound, a negative lower bound, a denominator holding 0, strong
+    division) goes through ``fn`` and :func:`_narrow`.
     """
 
     __slots__ = ("kind", "fn", "a", "b", "weak")
@@ -596,53 +581,15 @@ class MultRule(Rule):
         db = store[self.b]
         a0, a1 = da
         b0, b1 = db
-        # the tables of iv.mult and iv._endpoint_div inline, with the same
-        # op counts; an infinite (None) bound raises TypeError before any
-        # count, except the far end of a positive denominator, which the
-        # row of a numerator straddling 0 does not read: that row holds
-        # for an infinite far end too
+        # the non-negative rows of iv.mult and iv._endpoint_div inline, with
+        # the same op counts; an infinite (None) bound raises TypeError
+        # before any count
         try:
-            if self.kind == 1:
-                if a0 >= 0:
-                    if b0 >= 0:
-                        lo, hi = a0 * b0, a1 * b1
-                    elif b1 <= 0:
-                        lo, hi = a1 * b0, a0 * b1
-                    else:
-                        lo, hi = a1 * b0, a1 * b1
-                elif a1 <= 0:
-                    if b0 >= 0:
-                        lo, hi = a0 * b1, a1 * b0
-                    elif b1 <= 0:
-                        lo, hi = a1 * b1, a0 * b0
-                    else:
-                        lo, hi = a0 * b1, a0 * b0
-                elif b0 >= 0:
-                    lo, hi = a0 * b1, a1 * b1
-                elif b1 <= 0:
-                    lo, hi = a1 * b0, a0 * b0
-                else:
-                    p = a0 * b1
-                    q = a1 * b0
-                    r = a0 * b0
-                    s = a1 * b1
-                    lo = p if p < q else q
-                    hi = r if r > s else s
+            if self.kind == 1 and a0 >= 0 and b0 >= 0:
+                lo, hi = a0 * b0, a1 * b1
                 ctr.multI += 1
-            elif self.weak and (b0 > 0 or b1 < 0):
-                if b0 > 0:
-                    if a0 >= 0:
-                        lo, hi = -((-a0) // b1), a1 // b0
-                    elif a1 <= 0:
-                        lo, hi = -((-a0) // b0), a1 // b1
-                    else:
-                        lo, hi = -((-a0) // b0), a1 // b0
-                elif a0 >= 0:
-                    lo, hi = -((-a1) // b1), a0 // b0
-                elif a1 <= 0:
-                    lo, hi = -((-a1) // b0), a0 // b1
-                else:
-                    lo, hi = -((-a1) // b1), a0 // b1
+            elif self.kind != 1 and self.weak and a0 >= 0 and b0 > 0:
+                lo, hi = -((-a0) // b1), a1 // b0
                 ctr.div += 1
             else:
                 return _narrow(store, self.writes, self.fn(da, db, ctr))

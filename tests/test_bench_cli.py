@@ -120,6 +120,15 @@ class TestCli:
         assert "a=2 b=3" in lines and "a=3 b=2" in lines
         assert lines[-1].startswith("fe,weak,generated")
 
+    def test_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        p = tmp_path / "bom.csp"
+        p.write_bytes(b"\xef\xbb\xbfvar a in [1..3];\n"
+                      b"constraint a*a = 4;\nsolve all;\n")
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--print-solutions")
+        assert code == 0, err
+        assert "a=2" in out.splitlines()
+
     def test_missing_file(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--problem", "file:/nonexistent/x.csp"])

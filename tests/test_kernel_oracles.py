@@ -1,16 +1,18 @@
 """The sign-classified kernels against the sign-blind ones they replaced.
 
-``mult``, ``intervals._endpoint_div`` and the bounded loop of
-``rules.eval_monomial`` pick the corners that bound their result from the
-sign classes of the operands.  The oracles below are the kernels as they
-were before: every corner product, every floor quotient, then a min and a
-max.  The new kernels must give the same result on the grid of bounds in
-[-6..6] or infinite, on random big-integer bounds, on every pair of sign
-classes, and (``eval_monomial``) with the same operation counts.
+``mult`` and ``intervals._endpoint_div`` pick the corners that bound
+their result from the sign classes of the operands.  The oracles below are
+the kernels as they were before: every corner product, every floor
+quotient, then a min and a max.  The new kernels must give the same result
+on the grid of bounds in [-6..6] or infinite, on random big-integer
+bounds and on every pair of sign classes.  ``rules.eval_monomial``, which
+inlines only the non-negative rows of ``exp`` and ``mult``, must also give
+the same operation counts.
 
 The linear rules divide their residue and narrow in place when every
-bound is finite, and ``rules._narrow`` intersects inline; their oracle is
-the generic path, ``intersect(dom, div_scalar(residue, aj))``.
+bound is finite, ``MultRule`` when every bound is finite and
+non-negative, and ``rules._narrow`` intersects inline; their oracle is
+the generic path, the kernel and then an intersection.
 """
 
 import math
@@ -256,6 +258,37 @@ class TestEvalMonomial:
             assert got == want, (coeff, pp, store)
             assert got_ctr.as_dict() == want_ctr.as_dict(), (coeff, pp, store)
 
+    def test_every_small_monomial(self, monkeypatch):
+        # one or two factors over every interval with bounds in [-3..3] or
+        # infinite: the inline path serves exactly the finite non-negative
+        # stores, and counts nothing before it gives one up
+        ivs = [d for d in SMALL_IVS if d is not None]
+        called = []
+        for name in ("exp", "mult", "scale"):
+            def spy(*args, _fn=getattr(intervals, name)):
+                called.append(True)
+                return _fn(*args)
+            monkeypatch.setattr(intervals, name, spy)
+        exps = (1, 2, 3)
+        pps = ([((0, e),) for e in exps]
+               + [((0, e), (1, f)) for e in exps for f in exps])
+        for coeff in (-2, 1, 3):
+            for pp in pps:
+                for d0 in ivs:
+                    for d1 in (ivs if len(pp) == 2 else [(0, 0)]):
+                        store = [d0, d1]
+                        got_ctr, want_ctr = OpCounters(), OpCounters()
+                        del called[:]
+                        got = rules.eval_monomial(coeff, pp, store, got_ctr)
+                        inlined = all(x is not None and x >= 0
+                                      for d in store[:len(pp)] for x in d)
+                        case = (coeff, pp, store)
+                        assert bool(called) != inlined, case
+                        want = eval_monomial_oracle(coeff, pp, store,
+                                                    want_ctr)
+                        assert got == want, case
+                        assert got_ctr.as_dict() == want_ctr.as_dict(), case
+
 
 def linear_oracle(rule, store, ctr):
     # the generic path: the residue in interval arithmetic, divided by
@@ -357,7 +390,8 @@ MULT_RULES = ((1, 0, 1, 2), (2, 0, 1, 2), (3, 0, 1, 2), (2, 0, 0, 2))
 
 class TestMultRules:
     """``MultRule.apply`` multiplies or divides and narrows in place on
-    finite stores; its oracle is the kernel ``fn`` and ``_narrow``."""
+    finite non-negative stores; its oracle is the kernel ``fn`` and
+    ``_narrow``."""
 
     @pytest.mark.parametrize("offset, ivs", LINEAR_GRIDS, ids=GRID_IDS)
     @pytest.mark.parametrize("division", ("weak", "strong"))
@@ -395,13 +429,14 @@ class TestMultRules:
                     assert got == want, case
                     assert store == want_store, case
                     assert got_ctr.as_dict() == want_ctr.as_dict(), case
-                    # a bounded store skips the kernel where the table
-                    # applies; strong division always calls it
-                    if kind == 1 or (division == "weak" and
-                                     not intervals.contains_zero(db)):
-                        assert not (None not in da + db and spied), case
-                    else:
-                        assert spied, case
+                    # the kernel is skipped exactly on the inlined row:
+                    # every bound finite and both operands non-negative,
+                    # and for a quotient weak division by a positive
+                    # denominator; it is called on every other store
+                    inlined = (None not in da + db and da[0] >= 0
+                               and (db[0] >= 0 if kind == 1 else
+                                    division == "weak" and db[0] > 0))
+                    assert bool(spied) != inlined, case
                     outcomes.add("unchanged" if want < 0 else
                                  "emptied" if store[want] is None
                                  else "narrowed")
