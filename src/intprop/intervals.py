@@ -15,7 +15,8 @@ around zero is what makes even-power propagation useful.
 
 Division is one case analysis on 0 in the operands; :func:`div` (exact)
 snaps the denominator's bounds to divisors of the numerator before the
-endpoint formula, :func:`div_weak` does not.
+endpoint formula, :func:`div_weak` does not, and :func:`div_scalar` is
+that quotient with a singleton denominator {k}.
 
 The endpoint formulas of :func:`mult` and of the quotient are classified
 by sign, after the tables of Hickey, Ju & van Emden, "Interval arithmetic:
@@ -24,10 +25,10 @@ non-negative, non-positive or straddles 0; every pair of classes names the
 corners that bound the result, so a product takes two multiplications
 (four only when both factors straddle 0) and a quotient by a zero-free
 denominator two floor divisions.  Infinite bounds take every corner, with
-infinity absorption.  :func:`exp`, :func:`root` and :func:`div_scalar`
-split on sign in the same way.  These tables are written only here:
-``rules.MultRule`` and ``rules.eval_monomial`` inline the non-negative
-row alone and call these kernels for every other sign class.
+infinity absorption.  :func:`exp` and :func:`root` split on sign in the
+same way.  These tables are written only here: ``rules.MultRule`` and
+``rules.eval_monomial`` inline the non-negative row alone and call these
+kernels for every other sign class.
 
 Every arithmetic operation takes an :class:`OpCounters` sink and bumps
 exactly one category, also for an empty operand; the lattice operations
@@ -77,13 +78,6 @@ def mk(lo: Bound, hi: Bound) -> Interval:
     if lo is not None and hi is not None and lo > hi:
         return None
     return (lo, hi)
-
-
-def contains_zero(a: Interval) -> bool:
-    if a is None:
-        return False
-    lo, hi = a
-    return (lo is None or lo <= 0) and (hi is None or hi >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +405,7 @@ def _scan_divisors(c: int, d: int, a0: int, a1: int):
 
 
 def _quotient(a, b, exact: bool) -> Interval:
-    # the one case analysis behind div and div_weak (see div)
+    # the one case analysis behind div, div_weak and div_scalar (see div)
     if a is None or b is None:
         return None
     a0, a1 = a
@@ -482,7 +476,8 @@ def div_weak(a: Interval, b: Interval, ctr: OpCounters) -> Interval:
 
 
 def div_scalar(a: Interval, k: int, ctr: OpCounters) -> Interval:
-    """Exact quotient by a one-point set {k}; always an interval.
+    """Exact quotient by the one-point set {k}: :func:`div_weak` of a
+    singleton denominator, where the endpoint formula is exact.
 
     Division by a unit is carried out (and counted) as scaling.
     """
@@ -490,18 +485,9 @@ def div_scalar(a: Interval, k: int, ctr: OpCounters) -> Interval:
         ctr.multF += 1
         return a if k == 1 else negate(a)
     ctr.div += 1
-    if a is None:
-        return None
-    if k == 0:
-        return ALL if contains_zero(a) else None
-    a0, a1 = a
-    if k > 0:
-        lo = None if a0 is None else -((-a0) // k)
-        hi = None if a1 is None else a1 // k
-    else:
-        lo = None if a1 is None else -((-a1) // k)
-        hi = None if a0 is None else a0 // k
-    return mk(lo, hi)
+    # _quotient, not div_weak: a tracer that wraps both public names must
+    # see one call
+    return _quotient(a, (k, k), False)
 
 
 # A half-line numerator is never snapped, so div and div_weak agree on it

@@ -10,24 +10,22 @@ operation would cost more than the growth of the integers it saves.
 returns a rational interval; :func:`q_add` adds rational intervals.  Both
 require an :class:`~intprop.intervals.OpCounters` and bump one category
 (``q_div`` or ``q_sum``).  :func:`q_of` makes an integer interval
-rational; :func:`q_to_interval` and :func:`q_to_halfline` round back to
-integers with floor division.
+rational; :func:`q_to_interval` rounds back to integers with floor
+division, also for a half-line.
 
-Division follows extended real-interval division; when the exact quotient
-set is a union of two rays, the enclosing interval (all of R) is returned,
-since callers immediately take a one-sided bound anyway.
+The denominator of :func:`q_div` never holds 0: the simplified-fraction
+rules divide only by monomials over variables whose domains exclude 0, so
+the quotient set is always an interval.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .intervals import Interval, OpCounters, contains_zero, mk
+from .intervals import Interval, OpCounters, mk
 
 QBound = Optional[Tuple[int, int]]
 QInterval = Optional[Tuple[QBound, QBound]]
-
-Q_ALL: QInterval = (None, None)
 
 _ZERO = (0, 1)
 
@@ -59,10 +57,11 @@ def _add_bounds(x: QBound, y: QBound) -> QBound:
 
 
 def q_div(a: Interval, b: Interval, ctr: OpCounters) -> QInterval:
-    """Smallest real interval containing {u | u*y = x, x in a, y in b}.
+    """Smallest real interval containing {x/y | x in a, y in b}.
 
-    ``a`` and ``b`` are integer intervals.  For a positive denominator the
-    sign of each numerator bound picks the denominator bound that makes it
+    ``a`` and ``b`` are integer intervals, and ``b`` does not hold 0.  A
+    negative denominator is flipped to a positive one; there the sign of
+    each numerator bound picks the denominator bound that makes it
     extreme, so each result bound is one quotient.
     """
     ctr.q_div += 1
@@ -70,50 +69,23 @@ def q_div(a: Interval, b: Interval, ctr: OpCounters) -> QInterval:
         return None
     a0, a1 = a
     b0, b1 = b
-    if b1 is not None and b1 <= 0:
-        # x / y == (-x) / (-y): make the denominator non-negative
+    if b1 is not None and b1 < 0:
+        # x / y == (-x) / (-y): make the denominator positive
         a0, a1 = (None if a1 is None else -a1), (None if a0 is None else -a0)
         b0, b1 = -b1, (None if b0 is None else -b0)
-    if b0 is None or b0 < 0:
-        # the denominator straddles 0
-        return Q_ALL
-    if b0 > 0:
-        if a0 is None:
-            lo = None
-        elif a0 < 0:
-            lo = (a0, b0)
-        else:
-            lo = _ZERO if b1 is None else (a0, b1)
-        if a1 is None:
-            hi = None
-        elif a1 >= 0:
-            hi = (a1, b0)
-        else:
-            hi = _ZERO if b1 is None else (a1, b1)
-        return (lo, hi)
-    # den = [0 .. b1]
-    if contains_zero(a):
-        return Q_ALL
-    if b1 == 0:
-        return None
-    if a0 is not None and a0 > 0:
-        return (_ZERO if b1 is None else (a0, b1), None)
-    return (None, _ZERO if b1 is None else (a1, b1))
-
-
-def q_to_halfline(a: QInterval, side: str) -> Interval:
-    """Integer half-line of all values <= (or >=) some member of ``a``.
-
-    ``side`` is ``"le"`` or ``"ge"``; an infinite relevant bound gives Z.
-    """
-    if a is None:
-        return None
-    lo, hi = a
-    if side == "le":
-        return (None, None) if hi is None else (None, hi[0] // hi[1])
-    if side == "ge":
-        return (None, None) if lo is None else (-(-lo[0] // lo[1]), None)
-    raise ValueError("side must be 'le' or 'ge'")
+    if a0 is None:
+        lo = None
+    elif a0 < 0:
+        lo = (a0, b0)
+    else:
+        lo = _ZERO if b1 is None else (a0, b1)
+    if a1 is None:
+        hi = None
+    elif a1 >= 0:
+        hi = (a1, b0)
+    else:
+        hi = _ZERO if b1 is None else (a1, b1)
+    return (lo, hi)
 
 
 def q_to_interval(a: QInterval) -> Interval:

@@ -78,7 +78,7 @@ from .model import (
     TrivialConstraint,
     check_assignment,
 )
-from .rationals import q_add, q_div, q_of, q_to_halfline, q_to_interval
+from .rationals import q_add, q_div, q_of, q_to_interval
 
 UNCHANGED = -1
 
@@ -346,8 +346,8 @@ class _Residuals:
     m_k`` would not.
     """
 
-    __slots__ = ("monomials", "b", "counts", "domains_of", "terms", "blank",
-                 "snap")
+    __slots__ = ("monomials", "b", "counts", "vars", "domains_of", "terms",
+                 "blank", "snap")
 
     def __init__(self, constraint: PolynomialConstraint):
         mons = constraint.monomials
@@ -356,7 +356,8 @@ class _Residuals:
         self.b = constraint.rhs
         # the number of monomials each variable occurs in
         self.counts = counts = Counter(v for _, pp in mons for v, _ in pp)
-        self.domains_of = operator.itemgetter(*sorted(counts))
+        self.vars = tuple(sorted(counts))
+        self.domains_of = operator.itemgetter(*self.vars)
         # (cell of m_i, coefficient, power product) for each monomial
         self.terms = tuple((2 + k + i, c, pp)
                            for i, (c, pp) in enumerate(mons))
@@ -452,9 +453,12 @@ class PolyRule(Rule):
     its upper bound; both use the rule's division, which never snaps the
     denominator for a half-line (weak and strong division agree there).
     In simplified-fraction mode common variable powers between the terms
-    and ``s`` are cancelled symbolically and the residue is summed in
-    rational arithmetic, which needs every divisor variable's domain to
-    exclude zero (otherwise the plain path runs).
+    and ``s`` are cancelled symbolically, and the residue is summed in
+    rational arithmetic and rounded once, to an interval or, for an
+    inequality, a half-line.  That mode runs only while every divisor
+    variable's domain excludes zero (otherwise the plain path runs), so
+    every denominator it passes to :func:`~intprop.rationals.q_div` is
+    zero-free, as ``q_div`` requires.
 
     ``shared`` is the constraint's :class:`_Residuals`, which
     :func:`build_rules` passes to every rule of the constraint; a rule
@@ -481,17 +485,17 @@ class PolyRule(Rule):
         self.op = constraint.op
         self.divfn = iv.div_weak if division == "weak" else iv.div
         self.writes = vj
-        # the variables of the other monomials: all but those that occur
-        # in the pivot monomial only
+        # every variable of the constraint, but x_j when it occurs in the
+        # pivot monomial only and the root is odd (even-root parts clip
+        # against its own domain)
         counts = self.shared.counts
-        others = set(counts).difference(v for v, _ in pp if counts[v] == 1)
+        self.reads = self.shared.vars
+        if counts[vj] == 1 and self.n_p % 2 == 1:
+            self.reads = tuple(v for v in self.reads if v != vj)
         self.s_vars = tuple(v for v, _ in self.s_pp)
-        reads = others.union(self.s_vars)
-        if self.n_p % 2 == 0:
-            reads.add(vj)       # even-root parts clip against own domain
-        self.reads = tuple(sorted(reads))
-        self.optimized = (optimized and bool(self.s_pp)
-                          and not others.isdisjoint(self.s_vars))
+        # a divisor variable that another monomial shares
+        self.optimized = optimized and any(counts[v] > 1
+                                           for v in self.s_vars)
         self.groups = (_simplified_groups(mons, l, constraint.rhs, c,
                                           self.s_pp)
                        if self.optimized else None)
@@ -528,17 +532,15 @@ class PolyRule(Rule):
             else:
                 qt = q_of(num)
             qsum = qt if qsum is None else q_add(qsum, qt, ctr)
-        if qsum is None:
-            qsum = q_of((0, 0))
         if self.op == "le":
             positive = self.s_coeff > 0
             for v, e in self.s_pp:
                 if e % 2 == 1 and store[v][1] is not None and store[v][1] < 0:
                     positive = not positive
-            q = q_to_halfline(qsum, "le" if positive else "ge")
-        else:
-            q = q_to_interval(qsum)
-        return _narrow(store, self.vj, q, self.n_p, ctr)
+            # s * x_j**n_p <= residue: x_j**n_p is at most the quotient
+            # when s > 0, at least it when s < 0
+            qsum = (None, qsum[1]) if positive else (qsum[0], None)
+        return _narrow(store, self.vj, q_to_interval(qsum), self.n_p, ctr)
 
 
 class MultRule(Rule):
@@ -657,7 +659,7 @@ class DiseqVarVarRule(Rule):
         self.other = other
         self.shift = shift
         self.writes = target
-        self.reads = (target, other) if target != other else (target,)
+        self.reads = (target, other)
 
     def apply(self, store, ctr):
         do = store[self.other]

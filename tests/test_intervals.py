@@ -321,9 +321,13 @@ class TestCounters:
         def q_add_of(a, b, ctr):
             return q_add(q_of(a), q_of(b), ctr)
 
-        calls = [(f, (a, b)) for f in (add, sub, mult, div, div_weak, q_div,
+        calls = [(f, (a, b)) for f in (add, sub, mult, div, div_weak,
                                        q_add_of)
                  for a in ivs for b in ivs]
+        # q_div takes only denominators without 0
+        calls += [(q_div, (a, b)) for a in ivs for b in ivs
+                  if b is None or (b[0] is not None and b[0] > 0)
+                  or (b[1] is not None and b[1] < 0)]
         calls += [(f, (a, k)) for f in (scale, div_scalar)
                   for a in ivs for k in range(-3, 4)]
         calls += [(f, (a, n)) for f in (exp, root)

@@ -5,9 +5,11 @@ their result from the sign classes of the operands.  The oracles below are
 the kernels as they were before: every corner product, every floor
 quotient, then a min and a max.  The new kernels must give the same result
 on the grid of bounds in [-6..6] or infinite, on random big-integer
-bounds and on every pair of sign classes.  ``rules.eval_monomial``, which
-inlines only the non-negative rows of ``exp`` and ``mult``, must also give
-the same operation counts.
+bounds and on every pair of sign classes.  ``div_scalar``, the quotient
+by a singleton {k}, must give what its own ceil/floor per sign of k gave,
+with the same operation counts.  ``rules.eval_monomial``, which inlines
+only the non-negative rows of ``exp`` and ``mult``, must also give the
+same operation counts.
 
 The linear rules divide their residue and narrow in place when every
 bound is finite, ``MultRule`` when every bound is finite and
@@ -54,6 +56,28 @@ def endpoint_div_oracle(a0, a1, c, d):
     hi = max(fdiv(x, y) for x in (xa0, xa1) for y in (xc, xd))
     return intervals.mk(None if lo == -_INF else lo,
                         None if hi == _INF else hi)
+
+
+def div_scalar_oracle(a, k, ctr):
+    # div_scalar as it was before it called the shared quotient: its own
+    # ceil/floor per sign of k
+    if k == 1 or k == -1:
+        ctr.multF += 1
+        return a if k == 1 else intervals.negate(a)
+    ctr.div += 1
+    if a is None:
+        return None
+    a0, a1 = a
+    if k == 0:
+        holds_zero = (a0 is None or a0 <= 0) and (a1 is None or a1 >= 0)
+        return intervals.ALL if holds_zero else None
+    if k > 0:
+        lo = None if a0 is None else -((-a0) // k)
+        hi = None if a1 is None else a1 // k
+    else:
+        lo = None if a1 is None else -((-a1) // k)
+        hi = None if a0 is None else a0 // k
+    return intervals.mk(lo, hi)
 
 
 def eval_monomial_oracle(coeff, pp, store, ctr):
@@ -233,6 +257,27 @@ class TestSignClassPairs:
                         (a0, a1, c, d)
                     seen.add((sign_class((a0, a1)), c < 0))
         assert len(seen) == 6
+
+
+class TestDivScalar:
+    def check(self, a, k):
+        got_ctr, want_ctr = OpCounters(), OpCounters()
+        got = intervals.div_scalar(a, k, got_ctr)
+        assert got == div_scalar_oracle(a, k, want_ctr), (a, k)
+        assert got_ctr.as_dict() == want_ctr.as_dict(), (a, k)
+
+    def test_grid(self):
+        # every interval with bounds in [-6..6] or infinite, and the empty
+        # one, by 0, the units and both signs
+        for a in GRID_IVS:
+            for k in range(-4, 5):
+                self.check(a, k)
+
+    def test_random_big_integers(self):
+        rng = random.Random(2006)
+        for _ in range(20000):
+            k = rng.randint(1, 10 ** rng.randint(0, 30))
+            self.check(big_interval(rng), k if rng.random() < 0.5 else -k)
 
 
 class TestEvalMonomial:

@@ -12,15 +12,20 @@ the 28 runs must find exactly what enumerating the box finds: the same
 solutions without duplicates, an assignment reaching the same optimum, or
 ``Infeasible``.  Each run is made twice, and the second must repeat every
 counter of the first.
+
+The same problems, run under ``do``, also pin the precondition of
+``rationals.q_div``: no denominator it is given holds 0.
 """
 
 import itertools
 import operator
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intprop import VARIANTS, Infeasible, maximize, parse, solve_all
+from intprop import VARIANTS, Infeasible, maximize, parse, rules, solve_all
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -158,3 +163,31 @@ def test_every_configuration_matches_brute_force(problem):
             optimum = max(value(objective, p) for p in want)
             assert value(objective, best) == best_value == optimum, \
                 (config, text)
+
+
+def test_fractions_path_divides_by_zero_free_denominators_only():
+    # rationals.q_div has no case for a denominator holding 0: the
+    # simplified-fraction rules (variant do) take that path only while
+    # every divisor variable excludes 0.  Drawn problems have boxes of
+    # both signs, and the spy fails on any denominator that holds 0.
+    signs = Counter()
+    q_div = rules.q_div
+
+    def spy(a, b, ctr):
+        if b is not None:
+            b0, b1 = b
+            if (b0 is None or b0 <= 0) and (b1 is None or b1 >= 0):
+                raise AssertionError("q_div denominator holds 0: %r" % (b,))
+            signs[b0 is not None and b0 > 0] += 1
+        return q_div(a, b, ctr)
+
+    @SETTINGS
+    @given(problems())
+    def run_do(problem):
+        for division in ("weak", "strong"):
+            run(problem[0], "do", division, "scheduled")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rules, "q_div", spy)
+        run_do()
+    assert signs[True] > 0 and signs[False] > 0, signs
