@@ -12,13 +12,15 @@ truncated a search (a warning goes to stderr); 1 when a complete search
 proves that the problem to maximize has no solution (its statistics are
 still printed); 2 on usage or input errors: bad options, an unreadable,
 malformed or oversized problem, a variable that stays unbounded, or a
-propagation that exceeds its step limit.
+propagation that exceeds its step limit; 2 also when the output cannot be
+written (a closed pipe or a full device), with one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -112,7 +114,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _main(argv)
+        code = _main(argv)
+        if sys.stdout is not None:      # None when started without stdout
+            sys.stdout.flush()
+        return code
+    except OSError as e:
+        # problem files report their read errors themselves, so this is a
+        # write to stdout that failed
+        print("intprop: cannot write output: %s" % (e.strerror or e),
+              file=sys.stderr)
+        # point stdout at the null device, so that the flush at exit does
+        # not fail again on what could not be written
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 2
     finally:
         if cap is not None:
             sys.set_int_max_str_digits(cap)

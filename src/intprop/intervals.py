@@ -20,15 +20,16 @@ that quotient with a singleton denominator {k}.
 
 The endpoint formulas of :func:`mult` and of the quotient are classified
 by sign, after the tables of Hickey, Ju & van Emden, "Interval arithmetic:
-from principles to implementation" (JACM 2001).  Each bounded operand is
+from principles to implementation" (JACM 2001).  Each operand is
 non-negative, non-positive or straddles 0; every pair of classes names the
 corners that bound the result, so a product takes two multiplications
 (four only when both factors straddle 0) and a quotient by a zero-free
-denominator two floor divisions.  Infinite bounds take every corner, with
-infinity absorption.  :func:`exp` and :func:`root` split on sign in the
-same way.  These tables are written only here: ``rules.MultRule`` and
-``rules.eval_monomial`` inline the non-negative row alone and call these
-kernels for every other sign class.
+denominator two floor divisions.  The tables read an infinite (``None``)
+bound as the infinity its position implies, so each kernel has one path,
+in integers only.  :func:`exp` and :func:`root` split on sign in the same
+way.  These tables are written only here: ``rules.MultRule`` and
+``rules.eval_monomial`` inline the finite non-negative row alone and call
+these kernels for every other case.
 
 Every arithmetic operation takes an :class:`OpCounters` sink and bumps
 exactly one category, also for an empty operand; the lattice operations
@@ -45,8 +46,6 @@ Interval = Optional[Tuple[Bound, Bound]]
 
 ALL: Interval = (None, None)
 EMPTY: Interval = None
-
-_INF = math.inf
 
 
 class OpCounters:
@@ -151,62 +150,53 @@ def scale(a: Interval, k: int, ctr: OpCounters) -> Interval:
     return (None if a1 is None else a1 * k, None if a0 is None else a0 * k)
 
 
-def _xmul(x, y):
-    # endpoint product with infinity absorption; inf * 0 is 0 because a
-    # bounded factor of zero pins that corner of the product set
-    if x == 0 or y == 0:
-        return 0
-    if isinstance(x, float) or isinstance(y, float):
-        return _INF if (x > 0) == (y > 0) else -_INF
-    return x * y
+def _times(x: Bound, y: Bound) -> Bound:
+    # a corner product; an infinite (None) factor makes it the infinity of
+    # the corner's position, as no table row pairs an infinity with 0
+    return None if x is None or y is None else x * y
 
 
 def mult(a: Interval, b: Interval, ctr: OpCounters) -> Interval:
     """Closure of the set product of two intervals.
 
-    Bounded operands are classified by sign (non-negative, non-positive,
-    straddling 0), and each of the nine class pairs takes the endpoint
-    products of Hickey, Ju & van Emden's multiplication table: two
+    With {0} set aside, each operand is classified by sign (non-negative,
+    non-positive, straddling 0), and each of the nine class pairs takes the
+    endpoint products of Hickey, Ju & van Emden's multiplication table: two
     products, except when both straddle 0, where the lower bound is the
     lesser of the two negative corners and the upper bound the greater of
-    the two positive ones.  An infinite bound takes the four corners with
-    infinity absorption.
+    the two positive ones.  An infinite (``None``) bound is read as the
+    infinity its position implies: no row multiplies it by 0, so a corner
+    with an infinite factor is infinite.
     """
     ctr.multI += 1
     if a is None or b is None:
         return None
+    if a == (0, 0) or b == (0, 0):
+        return (0, 0)
     a0, a1 = a
     b0, b1 = b
-    if a0 is not None and a1 is not None and b0 is not None and b1 is not None:
-        if a0 >= 0:
-            if b0 >= 0:
-                return (a0 * b0, a1 * b1)
-            if b1 <= 0:
-                return (a1 * b0, a0 * b1)
-            return (a1 * b0, a1 * b1)
-        if a1 <= 0:
-            if b0 >= 0:
-                return (a0 * b1, a1 * b0)
-            if b1 <= 0:
-                return (a1 * b1, a0 * b0)
-            return (a0 * b1, a0 * b0)
-        if b0 >= 0:
-            return (a0 * b1, a1 * b1)
-        if b1 <= 0:
-            return (a1 * b0, a0 * b0)
-        p = a0 * b1
-        q = a1 * b0
-        r = a0 * b0
-        s = a1 * b1
-        return (p if p < q else q, r if r > s else s)
-    xa0 = -_INF if a0 is None else a0
-    xa1 = _INF if a1 is None else a1
-    xb0 = -_INF if b0 is None else b0
-    xb1 = _INF if b1 is None else b1
-    cands = (_xmul(xa0, xb0), _xmul(xa0, xb1), _xmul(xa1, xb0), _xmul(xa1, xb1))
-    lo = min(cands)
-    hi = max(cands)
-    return (None if lo == -_INF else lo, None if hi == _INF else hi)
+    if a0 is not None and a0 >= 0:
+        if b0 is not None and b0 >= 0:
+            return (a0 * b0, _times(a1, b1))
+        if b1 is not None and b1 <= 0:
+            return (_times(a1, b0), a0 * b1)
+        return (_times(a1, b0), _times(a1, b1))
+    if a1 is not None and a1 <= 0:
+        if b0 is not None and b0 >= 0:
+            return (_times(a0, b1), a1 * b0)
+        if b1 is not None and b1 <= 0:
+            return (a1 * b1, _times(a0, b0))
+        return (_times(a0, b1), _times(a0, b0))
+    if b0 is not None and b0 >= 0:
+        return (_times(a0, b1), _times(a1, b1))
+    if b1 is not None and b1 <= 0:
+        return (_times(a1, b0), _times(a0, b0))
+    p = _times(a0, b1)
+    q = _times(a1, b0)
+    r = _times(a0, b0)
+    s = _times(a1, b1)
+    return (None if p is None or q is None else (p if p < q else q),
+            None if r is None or s is None else (r if r > s else s))
 
 
 def exp(a: Interval, n: int, ctr: OpCounters) -> Interval:
@@ -229,7 +219,7 @@ def exp(a: Interval, n: int, ctr: OpCounters) -> Interval:
 # --- integer n-th roots, exact on arbitrary precision ----------------------
 
 def _iroot(x: int, n: int) -> int:
-    # floor n-th root of x >= 0 via integer Newton, no floating point
+    # floor n-th root of x >= 0 by integer Newton iteration, exact at any size
     if x < 2:
         return x
     if n == 2:
@@ -293,45 +283,34 @@ def root(a: Interval, n: int, ctr: OpCounters) -> Tuple[Interval, ...]:
 
 # --- division ---------------------------------------------------------------
 
-def _fdivx(x, y):
-    # floor(x / y) where x, y may be +-inf floats; y != 0
-    if isinstance(x, float):
-        return _INF if (x > 0) == (y > 0) else -_INF
-    if isinstance(y, float):
-        if x == 0:
-            return 0
-        return 0 if (x > 0) == (y > 0) else -1
-    return x // y
-
-
 def _endpoint_div(a0, a1, c, d) -> Interval:
     # [ceil(min A) .. floor(max A)] over A = {a0/c, a0/d, a1/c, a1/d}, for
-    # a zero-free [c..d].  With every bound finite, the sign classes of
-    # numerator and denominator name the two corners that give min A and
-    # max A, so two floor divisions do.
-    if a0 is not None and a1 is not None and c is not None and d is not None:
-        if c > 0:
-            if a0 >= 0:
-                lo, hi = -((-a0) // d), a1 // c
-            elif a1 <= 0:
-                lo, hi = -((-a0) // c), a1 // d
-            else:
-                lo, hi = -((-a0) // c), a1 // c
-        elif a0 >= 0:           # d < 0 from here on
-            lo, hi = -((-a1) // d), a0 // c
-        elif a1 <= 0:
-            lo, hi = -((-a1) // c), a0 // d
-        else:
-            lo, hi = -((-a1) // d), a0 // d
-        return None if lo > hi else (lo, hi)
-    xa0 = -_INF if a0 is None else a0
-    xa1 = _INF if a1 is None else a1
-    xc = -_INF if c is None else c
-    xd = _INF if d is None else d
-    # ceil(x / y) == -floor(-x / y)
-    lo = -max(_fdivx(-xa0, xc), _fdivx(-xa0, xd), _fdivx(-xa1, xc), _fdivx(-xa1, xd))
-    hi = max(_fdivx(xa0, xc), _fdivx(xa0, xd), _fdivx(xa1, xc), _fdivx(xa1, xd))
-    return mk(None if lo == -_INF else lo, None if hi == _INF else hi)
+    # a zero-free [c..d].  As in q_div, the sign of the denominator and of
+    # each numerator bound pick the one quotient that bounds the result,
+    # one row per case below.  An infinite (None) numerator bound stays
+    # infinite, and over an infinite far end of the denominator the
+    # quotient rounds to 1, 0 or -1 by the sign of the numerator bound.
+    if c is not None and c > 0:
+        lo = (None if a0 is None else
+              -((-a0) // c) if a0 < 0 else
+              -((-a0) // d) if d is not None else
+              1 if a0 else 0)
+        hi = (None if a1 is None else
+              a1 // c if a1 >= 0 else
+              a1 // d if d is not None else
+              -1)
+    else:                       # d < 0
+        lo = (None if a1 is None else
+              -((-a1) // d) if a1 > 0 else
+              -((-a1) // c) if c is not None else
+              1 if a1 else 0)
+        hi = (None if a0 is None else
+              a0 // d if a0 < 0 else
+              a0 // c if c is not None else
+              -1 if a0 else 0)
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return (lo, hi)
 
 
 # the most blocks one divisor scan visits; past it the scan gives up and

@@ -583,9 +583,10 @@ class MultRule(Rule):
         db = store[self.b]
         a0, a1 = da
         b0, b1 = db
-        # the non-negative rows of iv.mult and iv._endpoint_div inline, with
-        # the same op counts; an infinite (None) bound raises TypeError
-        # before any count
+        # the non-negative rows of iv.mult and iv._endpoint_div inline, for
+        # finite bounds only, with the same op counts; an infinite (None)
+        # bound raises TypeError before any count and goes to the kernel,
+        # whose table reads it
         try:
             if self.kind == 1 and a0 >= 0 and b0 >= 0:
                 lo, hi = a0 * b0, a1 * b1

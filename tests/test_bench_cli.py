@@ -1,10 +1,15 @@
 import decimal
+import errno
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 
 import pytest
 
+import intprop
 from intprop.bench import build_benchmark
 from intprop.cli import main
 from intprop.decompose import VARIANTS
@@ -374,3 +379,41 @@ class TestCli:
         rep = json.loads(out)
         assert "objective" not in rep
         assert rep["solutions"] > 0
+
+
+def run_cli_process(stdout, *args):
+    # the command in a child process whose stdout is the given file
+    # descriptor; returns its exit status and stderr
+    src = pathlib.Path(intprop.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "intprop.cli"] + list(args),
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    return proc.returncode, proc.stderr
+
+
+class TestOutputErrors:
+    """A write to stdout that fails ends the command with one line on
+    stderr and exit status 2, not a traceback."""
+
+    def check(self, code, err, reason):
+        assert code == 2, err
+        assert err == "intprop: cannot write output: %s\n" % reason
+
+    def test_pipe_closed_before_the_first_write(self):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            code, err = run_cli_process(w, "--problem", "sumprod", "--n",
+                                        "7", "--compare", "--stats", "csv")
+        finally:
+            os.close(w)
+        self.check(code, err, os.strerror(errno.EPIPE))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this system")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            code, err = run_cli_process(full, "--problem", "sumprod",
+                                        "--n", "6", "--print-solutions")
+        self.check(code, err, os.strerror(errno.ENOSPC))

@@ -313,7 +313,9 @@ class TestCounters:
     def test_every_call_bumps_exactly_one_category_once(self):
         # all counted kernels, on every operand with bounds in [-4..4] or
         # infinite and on the empty interval, also where the result is
-        # decided before any arithmetic
+        # decided before any arithmetic; every bound they return is None
+        # or exactly an int (the oracles compare with ==, which cannot tell
+        # 1 from 1.0 or True)
         g = [None] + list(range(-4, 5))
         ivs = [(lo, hi) for lo in g for hi in g
                if lo is None or hi is None or lo <= hi] + [None]
@@ -332,13 +334,28 @@ class TestCounters:
                   for a in ivs for k in range(-3, 4)]
         calls += [(f, (a, n)) for f in (exp, root)
                   for a in ivs for n in range(1, 5)]
+
+        def returned_ints(f, out):
+            # the bounds of each part of a root, both components of each
+            # rational bound, the bounds of any other result
+            parts = out if f is root else () if out is None else (out,)
+            for part in parts:
+                for x in part:
+                    if f in (q_add_of, q_div) and x is not None:
+                        yield from x
+                    else:
+                        yield x
+
         wrong = []
         for f, args in calls:
             c = OpCounters()
-            f(*args, c)
+            out = f(*args, c)
             bumps = [getattr(c, name) for name in OpCounters.CATEGORIES]
             if c.total() != 1 or bumps.count(1) != 1:
                 wrong.append((f.__name__,) + args)
+            if any(x is not None and type(x) is not int
+                   for x in returned_ints(f, out)):
+                wrong.append((f.__name__,) + args + (out,))
         assert wrong == []
 
 

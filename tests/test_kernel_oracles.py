@@ -1,11 +1,13 @@
 """The sign-classified kernels against the sign-blind ones they replaced.
 
 ``mult`` and ``intervals._endpoint_div`` pick the corners that bound
-their result from the sign classes of the operands.  The oracles below are
-the kernels as they were before: every corner product, every floor
-quotient, then a min and a max.  The new kernels must give the same result
-on the grid of bounds in [-6..6] or infinite, on random big-integer
-bounds and on every pair of sign classes.  ``div_scalar``, the quotient
+their result from the sign classes of the operands, and read an infinite
+(``None``) bound in the same table.  The oracles below are the kernels as
+they were before: every corner product, every floor quotient, then a min
+and a max, with infinite bounds as ``math.inf`` floats and infinity
+absorption (``_xmul``, ``_fdivx``).  The kernels must give the same
+result on the grid of bounds in [-6..6] or infinite, on random
+big-integer bounds, finite or not, and on every pair of sign classes.  ``div_scalar``, the quotient
 by a singleton {k}, must give what its own ceil/floor per sign of k gave,
 with the same operation counts.  ``rules.eval_monomial``, which inlines
 only the non-negative rows of ``exp`` and ``mult``, must also give the
@@ -28,6 +30,27 @@ from intprop.intervals import OpCounters, div, div_weak, mult
 _INF = math.inf
 
 
+def _xmul(x, y):
+    # endpoint product with infinity absorption; inf * 0 is 0 because a
+    # bounded factor of zero pins that corner of the product set
+    if x == 0 or y == 0:
+        return 0
+    if isinstance(x, float) or isinstance(y, float):
+        return _INF if (x > 0) == (y > 0) else -_INF
+    return x * y
+
+
+def _fdivx(x, y):
+    # floor(x / y) where x, y may be +-inf floats; y != 0
+    if isinstance(x, float):
+        return _INF if (x > 0) == (y > 0) else -_INF
+    if isinstance(y, float):
+        if x == 0:
+            return 0
+        return 0 if (x > 0) == (y > 0) else -1
+    return x // y
+
+
 def mult_oracle(a, b):
     if a is None or b is None:
         return None
@@ -40,7 +63,7 @@ def mult_oracle(a, b):
     xa1 = _INF if a1 is None else a1
     xb0 = -_INF if b0 is None else b0
     xb1 = _INF if b1 is None else b1
-    cands = [intervals._xmul(x, y) for x in (xa0, xa1) for y in (xb0, xb1)]
+    cands = [_xmul(x, y) for x in (xa0, xa1) for y in (xb0, xb1)]
     lo, hi = min(cands), max(cands)
     return (None if lo == -_INF else lo, None if hi == _INF else hi)
 
@@ -51,9 +74,8 @@ def endpoint_div_oracle(a0, a1, c, d):
     xa1 = _INF if a1 is None else a1
     xc = -_INF if c is None else c
     xd = _INF if d is None else d
-    fdiv = intervals._fdivx
-    lo = -max(fdiv(-x, y) for x in (xa0, xa1) for y in (xc, xd))
-    hi = max(fdiv(x, y) for x in (xa0, xa1) for y in (xc, xd))
+    lo = -max(_fdivx(-x, y) for x in (xa0, xa1) for y in (xc, xd))
+    hi = max(_fdivx(x, y) for x in (xa0, xa1) for y in (xc, xd))
     return intervals.mk(None if lo == -_INF else lo,
                         None if hi == _INF else hi)
 
@@ -157,9 +179,22 @@ def draw_class(rng, cls, mag):
 
 def sign_class(a):
     lo, hi = a
-    if lo >= 0:
+    if lo is not None and lo >= 0:
         return "nonneg"
-    return "nonpos" if hi <= 0 else "straddle"
+    return "nonpos" if hi is not None and hi <= 0 else "straddle"
+
+
+def unbound_outer(rng, a, p):
+    # a with each bound that leaves its sign class made infinite with
+    # probability p: the upper of a non-negative interval, the lower of a
+    # non-positive one, either of one straddling 0
+    lo, hi = a
+    cls = sign_class(a)
+    if cls != "nonneg" and rng.random() < p:
+        lo = None
+    if cls != "nonpos" and rng.random() < p:
+        hi = None
+    return (lo, hi)
 
 
 def big_interval(rng):
@@ -209,16 +244,25 @@ class TestRandomBigIntegers:
         assert got == with_oracle_endpoint_div(monkeypatch, div_weak, pairs)
 
     def test_endpoint_div_on_zero_free_denominators(self):
-        # the formula strong division applies after its snap
+        # the formula strong division applies after its snap, and weak
+        # division on any zero-free denominator, also one with an infinite
+        # far end
         rng = random.Random(2002)
+        seen = set()
         for _ in range(self.N):
             a0, a1 = big_interval(rng)
             c, d = sorted(rng.randint(1, 10 ** rng.randint(0, 30))
                           for _ in range(2))
+            if rng.random() < 0.1:
+                d = None
             if rng.random() < 0.5:
-                c, d = -d, -c
+                c, d = (None if d is None else -d), -c
             assert (intervals._endpoint_div(a0, a1, c, d)
                     == endpoint_div_oracle(a0, a1, c, d)), (a0, a1, c, d)
+            seen.add((c is None, d is None, a0 is None or a1 is None))
+        assert seen == {(c, d, a) for c, d in ((False, False), (True, False),
+                                               (False, True))
+                        for a in (False, True)}
 
 
 class TestSignClassPairs:
@@ -247,16 +291,24 @@ class TestSignClassPairs:
         for ca in CLASSES:
             for neg in (False, True):
                 for _ in range(2000):
-                    a0, a1 = draw_class(rng, ca, 10 ** rng.randint(1, 30))
-                    c, d = draw_class(rng, "nonneg", 10 ** rng.randint(1, 30))
-                    c, d = c + 1, d + 1
+                    a0, a1 = unbound_outer(
+                        rng, draw_class(rng, ca, 10 ** rng.randint(1, 30)),
+                        0.25)
+                    c, d = unbound_outer(
+                        rng, draw_class(rng, "nonneg", 10 ** rng.randint(1, 30)),
+                        0.25)
+                    c, d = c + 1, None if d is None else d + 1
                     if neg:
-                        c, d = -d, -c
+                        c, d = (None if d is None else -d), -c
                     assert (intervals._endpoint_div(a0, a1, c, d)
                             == endpoint_div_oracle(a0, a1, c, d)), \
                         (a0, a1, c, d)
-                    seen.add((sign_class((a0, a1)), c < 0))
-        assert len(seen) == 6
+                    seen.add((sign_class((a0, a1)), neg,
+                              c is None or d is None,
+                              a0 is None or a1 is None))
+        # each class and denominator sign, with finite and infinite far
+        # ends and numerator bounds
+        assert len(seen) == 24
 
 
 class TestDivScalar:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 from intprop.intervals import OpCounters, div
 from intprop.rationals import q_add, q_div, q_of, q_to_interval
+from test_kernel_oracles import mult_oracle
 
 
 def fr(a):
@@ -79,27 +80,8 @@ class TestExactness:
 
 # ---------------------------------------------------------------------------
 # Fraction oracles: the rational arithmetic as it was before bounds became
-# unreduced integer pairs (``Fraction`` bounds, reciprocals and products)
-
-def _xmul(x, y):
-    if x == 0 or y == 0:
-        return 0
-    if isinstance(x, float) or isinstance(y, float):
-        return math.inf if (x > 0) == (y > 0) else -math.inf
-    return x * y
-
-
-def _mult_bounds(a0, a1, b0, b1):
-    xa0 = -math.inf if a0 is None else a0
-    xa1 = math.inf if a1 is None else a1
-    xb0 = -math.inf if b0 is None else b0
-    xb1 = math.inf if b1 is None else b1
-    cands = (_xmul(xa0, xb0), _xmul(xa0, xb1), _xmul(xa1, xb0),
-             _xmul(xa1, xb1))
-    lo = min(cands)
-    hi = max(cands)
-    return (None if lo == -math.inf else lo, None if hi == math.inf else hi)
-
+# unreduced integer pairs (``Fraction`` bounds, reciprocals, and products
+# by the four-corner oracle of test_kernel_oracles)
 
 def q_add_oracle(a, b):
     if a is None or b is None:
@@ -120,7 +102,7 @@ def q_div_oracle(a, b):
         recip = (0 if b1 is None else F(1, 1) / b1, F(1, 1) / b0)
     else:
         recip = (F(1, 1) / b1, 0 if b0 is None else F(1, 1) / b0)
-    return _mult_bounds(a0, a1, *recip)
+    return mult_oracle((a0, a1), recip)
 
 
 def q_to_halfline_oracle(a, side):
