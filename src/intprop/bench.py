@@ -112,10 +112,11 @@ BENCHMARKS = {
 
 def build_benchmark(name: str, n: int = None) -> CSP:
     """Instantiate a named benchmark; ``n`` scales all but ``fractions``,
-    and is at least 2 for ``kyoto`` (its least base) and 1 for the others."""
+    and is at least 2 for ``kyoto`` (its least base) and 1 for the others.
+    An unknown name or a size out of range raises ``ValueError``."""
     if name not in BENCHMARKS:
-        raise KeyError("unknown benchmark %r (have: %s)"
-                       % (name, ", ".join(sorted(BENCHMARKS))))
+        raise ValueError("unknown benchmark %r (have: %s)"
+                         % (name, ", ".join(sorted(BENCHMARKS))))
     if n is None:
         return BENCHMARKS[name]()
     if name == "fractions":

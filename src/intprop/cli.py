@@ -13,7 +13,8 @@ proves that the problem to maximize has no solution (its statistics are
 still printed); 2 on usage or input errors: bad options, an unreadable,
 malformed or oversized problem, a variable that stays unbounded, or a
 propagation that exceeds its step limit; 2 also when the output cannot be
-written (a closed pipe or a full device), with one line on stderr.
+written (no stdout, a closed pipe or a full device).  Every exit 2 but
+that of a bad option prints one line on stderr, when stderr can take it.
 """
 
 from __future__ import annotations
@@ -99,9 +100,7 @@ def _load_problem(spec: str, n: Optional[int]) -> CSP:
             with open(path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as e:
-            print("intprop: cannot read %s: %s" % (path, e.strerror),
-                  file=sys.stderr)
-            raise SystemExit(2)
+            raise ValueError("cannot read %s: %s" % (path, e.strerror))
         return parse(text)
     return build_benchmark(spec, n)
 
@@ -114,23 +113,33 @@ def main(argv: Optional[List[str]] = None) -> int:
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
+        if sys.stdout is None:          # started with fd 1 closed
+            raise OSError("no standard output")
         code = _main(argv)
-        if sys.stdout is not None:      # None when started without stdout
-            sys.stdout.flush()
+        sys.stdout.flush()
         return code
+    except (ParseError, ValueError, UnboundedAfterPropagation,
+            PropagationLimit) as e:
+        message = str(e)
     except OSError as e:
-        # problem files report their read errors themselves, so this is a
-        # write to stdout that failed
-        print("intprop: cannot write output: %s" % (e.strerror or e),
-              file=sys.stderr)
-        # point stdout at the null device, so that the flush at exit does
-        # not fail again on what could not be written
-        with open(os.devnull, "w") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
-        return 2
+        # a read error is a ValueError, so this is a write that failed
+        message = "cannot write output: %s" % (e.strerror or e)
     finally:
         if cap is not None:
             sys.set_int_max_str_digits(cap)
+    # what stdout holds goes first, then the error line; a stream that
+    # cannot take them is pointed at the null device, so that the flush at
+    # exit does not fail again
+    for stream, text in ((sys.stdout, ""),
+                         (sys.stderr, "intprop: %s\n" % message)):
+        if stream is not None:
+            try:
+                stream.write(text)
+                stream.flush()
+            except OSError:
+                with open(os.devnull, "w") as null:
+                    os.dup2(null.fileno(), stream.fileno())
+    return 2
 
 
 def _main(argv: Optional[List[str]]) -> int:
@@ -164,17 +173,10 @@ def _main(argv: Optional[List[str]]) -> int:
     if args.time_limit is not None and not args.time_limit >= 0:
         ap.error("--time-limit must be a number of seconds >= 0")
 
-    try:
-        csp = _load_problem(args.problem, args.n)
-    except (ParseError, KeyError, ValueError) as e:
-        print("intprop: %s" % e, file=sys.stderr)
-        return 2
-
+    csp = _load_problem(args.problem, args.n)
     goal = args.goal or csp.goal
     if goal == "maximize" and csp.objective is None:
-        print("intprop: the problem has no objective to maximize",
-              file=sys.stderr)
-        return 2
+        raise ValueError("the problem has no objective to maximize")
     mode = "scheduled" if args.schedule == "generated" else "cycle"
     variants = list(VARIANTS) if args.compare else [args.variant]
 
@@ -186,10 +188,6 @@ def _main(argv: Optional[List[str]]) -> int:
         except Infeasible as e:
             infeasible = True
             stats, extra = e.stats, {"objective": None, "incumbents": []}
-        except (UnboundedAfterPropagation, PropagationLimit,
-                ValueError) as e:
-            print("intprop: %s" % e, file=sys.stderr)
-            return 2
         if not stats.complete:
             timed_out = args.max_nodes is None or stats.nodes < args.max_nodes
             print("warning: %ssearch truncated at %d nodes (incomplete)"

@@ -401,7 +401,10 @@ class CSP:
     domains: List[Interval]
     constraints: List[Constraint]
     objective: Optional[Expr] = None
-    goal: str = "all"     # "all" | "maximize"
+
+    @property
+    def goal(self) -> str:
+        return "all" if self.objective is None else "maximize"
 
     def var(self, name: str) -> int:
         return self.names.index(name)
@@ -585,10 +588,8 @@ class _Parser:
         t = self.next()
         if t[1] == "solve":
             self.expect("ident", "all")
-            self.csp.goal = "all"
         else:
             self.csp.objective = self.expr()
-            self.csp.goal = "maximize"
         self.expect("sym", ";")
 
     def expr(self) -> Expr:

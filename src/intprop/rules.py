@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import intervals as iv
 from .intervals import Interval, OpCounters
@@ -232,14 +232,12 @@ class LinearEqRule(Rule):
         return w
 
 
-class LinearIneqRule(Rule):
+class LinearIneqRule(LinearEqRule):
     """Isolate one variable of `sum a_i*x_i <= b` via half-line division."""
 
-    __slots__ = ("others", "aj", "b")
+    __slots__ = ()
 
     variant = "LinearIneq"
-
-    __init__ = LinearEqRule.__init__
 
     def apply(self, store, ctr):
         others = self.others
@@ -346,13 +344,12 @@ class _Residuals:
     m_k`` would not.
     """
 
-    __slots__ = ("monomials", "b", "counts", "vars", "domains_of", "terms",
-                 "blank", "snap")
+    __slots__ = ("b", "counts", "vars", "domains_of", "terms", "blank",
+                 "snap")
 
     def __init__(self, constraint: PolynomialConstraint):
         mons = constraint.monomials
         k = len(mons)
-        self.monomials = mons
         self.b = constraint.rhs
         # the number of monomials each variable occurs in
         self.counts = counts = Counter(v for _, pp in mons for v, _ in pp)
@@ -461,35 +458,32 @@ class PolyRule(Rule):
     zero-free, as ``q_div`` requires.
 
     ``shared`` is the constraint's :class:`_Residuals`, which
-    :func:`build_rules` passes to every rule of the constraint; a rule
-    built alone makes its own.
+    :func:`build_rules` passes to every rule of the constraint.
     """
 
-    __slots__ = ("shared", "l", "s_coeff", "s_pp", "n_p", "vj", "op",
+    __slots__ = ("shared", "l", "s_coeff", "s_pp", "n_p", "op",
                  "divfn", "optimized", "groups", "s_vars")
 
     variant = "Poly"
 
     def __init__(self, constraint: PolynomialConstraint, l: int, vj: int,
-                 division: str = "weak", optimized: bool = False,
-                 shared: Optional[_Residuals] = None):
+                 division: str = "weak", optimized: bool = False, *,
+                 shared: _Residuals):
         mons = constraint.monomials
-        assert shared is None or shared.monomials is mons
-        self.shared = shared if shared is not None else _Residuals(constraint)
+        self.shared = shared
         self.l = l
         c, pp = mons[l]
         self.n_p = dict(pp)[vj]
         self.s_coeff = c
         self.s_pp = tuple((v, e) for v, e in pp if v != vj)
-        self.vj = vj
         self.op = constraint.op
         self.divfn = iv.div_weak if division == "weak" else iv.div
         self.writes = vj
         # every variable of the constraint, but x_j when it occurs in the
         # pivot monomial only and the root is odd (even-root parts clip
         # against its own domain)
-        counts = self.shared.counts
-        self.reads = self.shared.vars
+        counts = shared.counts
+        self.reads = shared.vars
         if counts[vj] == 1 and self.n_p % 2 == 1:
             self.reads = tuple(v for v in self.reads if v != vj)
         self.s_vars = tuple(v for v, _ in self.s_pp)
@@ -517,7 +511,7 @@ class PolyRule(Rule):
             q = self.divfn(acc, siv, ctr)
         else:
             q = iv.div_scalar(acc, self.s_coeff, ctr)
-        return _narrow(store, self.vj, q, self.n_p, ctr)
+        return _narrow(store, self.writes, q, self.n_p, ctr)
 
     def _apply_fractions(self, store, ctr):
         qsum = None
@@ -540,7 +534,8 @@ class PolyRule(Rule):
             # s * x_j**n_p <= residue: x_j**n_p is at most the quotient
             # when s > 0, at least it when s < 0
             qsum = (None, qsum[1]) if positive else (qsum[0], None)
-        return _narrow(store, self.vj, q_to_interval(qsum), self.n_p, ctr)
+        return _narrow(store, self.writes, q_to_interval(qsum), self.n_p,
+                       ctr)
 
 
 class MultRule(Rule):
@@ -613,50 +608,47 @@ class MultRule(Rule):
 class ExpoRule(Rule):
     """Forward direction of `x = y**n`: bound x by the power of y."""
 
-    __slots__ = ("x", "y", "n")
+    __slots__ = ("y", "n")
 
     variant = "Expo"
 
     def __init__(self, x: int, y: int, n: int):
-        self.x = x
         self.y = y
         self.n = n
         self.writes = x
         self.reads = (y,)
 
     def apply(self, store, ctr):
-        return _narrow(store, self.x, iv.exp(store[self.y], self.n, ctr))
+        return _narrow(store, self.writes, iv.exp(store[self.y], self.n, ctr))
 
 
 class RootXRule(Rule):
     """Backward direction of `x = y**n`: intersect y with the n-th root."""
 
-    __slots__ = ("x", "y", "n")
+    __slots__ = ("x", "n")
 
     variant = "RootX"
 
     def __init__(self, x: int, y: int, n: int):
         self.x = x
-        self.y = y
         self.n = n
         self.writes = y
         self.reads = (x, y) if n % 2 == 0 else (x,)
 
     def apply(self, store, ctr):
-        return _narrow(store, self.y, store[self.x], self.n, ctr)
+        return _narrow(store, self.writes, store[self.x], self.n, ctr)
 
 
 class DiseqVarVarRule(Rule):
     """`x - y != shift`: trim a bound of the target when the other side is
     fixed at it; fail when both are fixed and equal."""
 
-    __slots__ = ("target", "other", "shift")
+    __slots__ = ("other", "shift")
 
     variant = "Diseq"
 
     def __init__(self, target: int, other: int, shift: int):
         # shift is the forbidden (target - other) difference
-        self.target = target
         self.other = other
         self.shift = shift
         self.writes = target
@@ -666,24 +658,23 @@ class DiseqVarVarRule(Rule):
         do = store[self.other]
         if do[0] is None or do[0] != do[1]:
             return UNCHANGED
-        return _exclude(store, self.target, do[0] + self.shift)
+        return _exclude(store, self.writes, do[0] + self.shift)
 
 
 class DiseqVarConstRule(Rule):
     """`x != c`: trim the bound equal to c, fail on the singleton c."""
 
-    __slots__ = ("x", "c")
+    __slots__ = ("c",)
 
     variant = "Diseq"
 
     def __init__(self, x: int, c: int):
-        self.x = x
         self.c = c
         self.writes = x
         self.reads = (x,)
 
     def apply(self, store, ctr):
-        return _exclude(store, self.x, self.c)
+        return _exclude(store, self.writes, self.c)
 
 
 def _exclude(store, x, c):
@@ -781,7 +772,8 @@ def build_rules(constraints, division: str = "weak",
         shared = _Residuals(c)
         for l, (_, pp) in enumerate(c.monomials):
             for v, _ in pp:
-                rules.append(PolyRule(c, l, v, division, optimized, shared))
+                rules.append(PolyRule(c, l, v, division, optimized,
+                                      shared=shared))
     return rules
 
 

@@ -67,7 +67,7 @@ class TestBenchmarkShapes:
         assert csp.domains[14:] == [(i, i) for i in range(1, 15)]
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown benchmark 'nosuch'"):
             build_benchmark("nosuch")
 
     def test_fractions_takes_no_size(self):
@@ -135,9 +135,11 @@ class TestCli:
         assert "a=2" in out.splitlines()
 
     def test_missing_file(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--problem", "file:/nonexistent/x.csp"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "--problem",
+                                 "file:/nonexistent/x.csp")
+        assert code == 2
+        assert err == ("intprop: cannot read /nonexistent/x.csp: %s\n"
+                       % os.strerror(errno.ENOENT))
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.csp"
@@ -298,6 +300,55 @@ class TestCli:
         assert err == ("intprop: %s takes a size of at least %d, not %d\n"
                        % (name, least, n))
 
+    # every input error and run error: (problem file text or None, the
+    # arguments, with {file} for that file's path, and the stderr message)
+    FAILED_RUNS = {
+        "unknown benchmark": (
+            None, ["--problem", "foo"],
+            "unknown benchmark 'foo' (have: cubes, fractions, kyoto, opt, "
+            "sumprod)"),
+        "unreadable file": (
+            None, ["--problem", "file:{file}"],
+            "cannot read {file}: %s" % os.strerror(errno.ENOENT)),
+        "parse error": (
+            "var x in [1..5]\nconstraint x = 1;", ["--problem", "file:{file}"],
+            "line 2, col 1: expected ;"),
+        "size with a file": (
+            "var x in [1..3]; solve all;",
+            ["--problem", "file:{file}", "--n", "5"],
+            "a problem file takes no size"),
+        "size below the least": (
+            None, ["--problem", "sumprod", "--n", "0"],
+            "sumprod takes a size of at least 1, not 0"),
+        "maximize without an objective": (
+            None, ["--problem", "sumprod", "--n", "4", "--goal", "maximize"],
+            "the problem has no objective to maximize"),
+        "unbounded variable": (
+            "var x in Z; solve all;", ["--problem", "file:{file}"],
+            "domain of x is still unbounded after propagation"),
+        # the cap lowered to 100 pairs, which 10 factors pass
+        "decomposition cap": (
+            "".join("var x%d in [1..2]; " % i for i in range(10))
+            + "constraint %s = 2;" % "*".join("x%d" % i for i in range(10)),
+            ["--problem", "file:{file}"],
+            "full decomposition would test more than 100 pairs of "
+            "sub-terms"),
+    }
+
+    @pytest.mark.parametrize("case", FAILED_RUNS)
+    def test_failed_run_is_one_line_and_exit_2(self, case, tmp_path, capsys,
+                                               monkeypatch):
+        text, args, message = self.FAILED_RUNS[case]
+        monkeypatch.setattr(sys.modules["intprop.decompose"], "_MAX_PAIRS",
+                            100)
+        path = tmp_path / "problem.csp"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run_cli(capsys,
+                                 *[a.format(file=path) for a in args])
+        assert (code, out) == (2, "")
+        assert err == "intprop: %s\n" % message.format(file=path)
+
     def test_table_and_csv_headers(self, capsys):
         args = ("--problem", "sumprod", "--n", "7", "--variant", "fe")
         _, out, _ = run_cli(capsys, *args)
@@ -381,20 +432,24 @@ class TestCli:
         assert rep["solutions"] > 0
 
 
-def run_cli_process(stdout, *args):
-    # the command in a child process whose stdout is the given file
-    # descriptor; returns its exit status and stderr
+def run_cli_process(stdout, *args, stderr=subprocess.PIPE, shell=()):
+    # the command in a child process whose stdout and stderr are the given
+    # file descriptors, started through the ``shell`` command line if one
+    # is given; returns its exit status and stderr.  The child buffers its
+    # output as by default, so that what a failed write leaves in a buffer
+    # is still there at exit.
     src = pathlib.Path(intprop.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "intprop.cli"] + list(args),
-        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)))
+        list(shell) + [sys.executable, "-m", "intprop.cli"] + list(args),
+        stdout=stdout, stderr=stderr, text=True, timeout=120, env=env)
     return proc.returncode, proc.stderr
 
 
 class TestOutputErrors:
-    """A write to stdout that fails ends the command with one line on
-    stderr and exit status 2, not a traceback."""
+    """A write that fails ends the command with one line on stderr, when
+    stderr can take it, and exit status 2, not a traceback."""
 
     def check(self, code, err, reason):
         assert code == 2, err
@@ -417,3 +472,22 @@ class TestOutputErrors:
             code, err = run_cli_process(full, "--problem", "sumprod",
                                         "--n", "6", "--print-solutions")
         self.check(code, err, os.strerror(errno.ENOSPC))
+
+    def test_stderr_on_a_closed_pipe(self):
+        # the truncation warning is the first write to stderr; a traceback
+        # would exit 1, and a failed flush at exit 120
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            code, _ = run_cli_process(subprocess.DEVNULL, "--problem",
+                                      "sumprod", "--n", "6", "--max-nodes",
+                                      "3", stderr=w)
+        finally:
+            os.close(w)
+        assert code == 2
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+    def test_no_stdout(self):
+        code, err = run_cli_process(None, "--problem", "sumprod", "--n", "6",
+                                    shell=("sh", "-c", 'exec "$@" >&-', "sh"))
+        self.check(code, err, "no standard output")

@@ -44,6 +44,7 @@ from intprop.rules import (
     MultRule,
     PolyRule,
     RootXRule,
+    _Residuals,
 )
 
 from interval_sets import contains, issubset
@@ -271,7 +272,8 @@ def poly_case(draw):
                              draw(rhs))
     l = draw(st.integers(0, len(mons) - 1))
     vj = draw(st.sampled_from([v for v, _ in mons[l][1]]))
-    return c, PolyRule(c, l, vj, draw(divisions), draw(st.booleans()))
+    return c, PolyRule(c, l, vj, draw(divisions), draw(st.booleans()),
+                       shared=_Residuals(c))
 
 
 @st.composite
@@ -385,7 +387,7 @@ def test_optimized_poly_rule_is_not_monotone_across_paths():
     # path) keeps x1 = 0.  A fix changes the work of variant do.
     c = PolynomialConstraint(((-3, ((0, 1), (1, 2), (2, 2))),
                               (1, ((0, 2),)), (-1, ((1, 1),))), "eq", -9)
-    rule = PolyRule(c, 0, 1, "strong", optimized=True)
+    rule = PolyRule(c, 0, 1, "strong", optimized=True, shared=_Residuals(c))
     box = [(-3, -2), (-2, 5), (-6, 0)]
     sub = [(-3, -2), (-2, 5), (-3, -1)]
     assert not list(solutions(c, box))

@@ -22,6 +22,7 @@ from intprop.rules import (
     ExpoRule,
     RootXRule,
     PolyRule,
+    _Residuals,
     build_rules,
     eval_monomial,
 )
@@ -101,7 +102,7 @@ class TestPolyRules:
     def test_even_root_lifts_lower_bound(self):
         csp, c = constraint_of("constraint x^2 - y = 0;",
                                [("x", (0, 10)), ("y", (25, 100))])
-        rule = PolyRule(c, 0, 0)
+        rule = PolyRule(c, 0, 0, shared=_Residuals(c))
         store = list(csp.domains)
         assert rule.apply(store, OpCounters()) == 0
         assert store[0] == (5, 10)
@@ -111,12 +112,13 @@ class TestPolyRules:
                                [("x", (1, 9)), ("y", (1, 9)), ("z", (1, 9))])
         store = list(csp.domains)
         for l, v in ((0, 0), (0, 1), (1, 1), (1, 2)):
-            assert PolyRule(c, l, v).apply(store, OpCounters()) == UNCHANGED
+            rule = PolyRule(c, l, v, shared=_Residuals(c))
+            assert rule.apply(store, OpCounters()) == UNCHANGED
 
     def test_exact_division_on_singleton(self):
         csp, c = constraint_of("constraint x*y = 6;",
                                [("x", (2, 2)), ("y", (1, 10))])
-        rule = PolyRule(c, 0, 1)
+        rule = PolyRule(c, 0, 1, shared=_Residuals(c))
         store = list(csp.domains)
         assert rule.apply(store, OpCounters()) == 1
         assert store[1] == (3, 3)
@@ -124,13 +126,13 @@ class TestPolyRules:
     def test_running_inequality_bounds(self):
         csp, c = constraint_of("constraint x^3*y - x <= 40;",
                                [("x", (1, 100)), ("y", (1, 100))])
-        rx = PolyRule(c, 0, 0)
+        rx = PolyRule(c, 0, 0, shared=_Residuals(c))
         store = list(csp.domains)
         assert rx.apply(store, OpCounters()) == 0
         assert store[0] == (1, 5)
         assert rx.apply(store, OpCounters()) == 0
         assert store[0] == (1, 3)
-        ry = PolyRule(c, 0, 1)
+        ry = PolyRule(c, 0, 1, shared=_Residuals(c))
         assert ry.apply(store, OpCounters()) == 1
         assert store[1] == (1, 43)
 
@@ -138,8 +140,9 @@ class TestPolyRules:
         csp, c = constraint_of("constraint x^3*y - x <= 40;",
                                [("x", (1, 100)), ("y", (1, 100))])
         store = list(csp.domains)
-        PolyRule(c, 0, 0).apply(store, OpCounters())   # x <= 5
-        ry = PolyRule(c, 0, 1, optimized=True)
+        rx = PolyRule(c, 0, 0, shared=_Residuals(c))
+        rx.apply(store, OpCounters())   # x <= 5
+        ry = PolyRule(c, 0, 1, optimized=True, shared=_Residuals(c))
         assert ry.optimized
         assert ry.apply(store, OpCounters()) == 1
         assert store[1] == (1, 41)
@@ -148,8 +151,8 @@ class TestPolyRules:
         csp, c = constraint_of("constraint x^3*y - x <= 40;",
                                [("x", (-2, 100)), ("y", (1, 100))])
         store = list(csp.domains)
-        ry = PolyRule(c, 0, 1, optimized=True)
-        plain = PolyRule(c, 0, 1)
+        ry = PolyRule(c, 0, 1, optimized=True, shared=_Residuals(c))
+        plain = PolyRule(c, 0, 1, shared=_Residuals(c))
         store2 = list(csp.domains)
         assert (ry.apply(store, OpCounters())
                 == plain.apply(store2, OpCounters()))
@@ -158,7 +161,7 @@ class TestPolyRules:
     def test_optimized_equality_reduces_two_product_example(self):
         csp, c = constraint_of("constraint 100*x*y - 10*y*z = 212;",
                                [("x", (1, 9)), ("y", (1, 9)), ("z", (1, 9))])
-        rule = PolyRule(c, 0, 0, optimized=True)
+        rule = PolyRule(c, 0, 0, optimized=True, shared=_Residuals(c))
         store = list(csp.domains)
         assert rule.apply(store, OpCounters()) == 0
         assert store[0] == (1, 3)
@@ -167,7 +170,7 @@ class TestPolyRules:
         # product constraint of distinct variables: simplification is a no-op
         csp, c = constraint_of("constraint x*y - z = 0;",
                                [("x", (1, 9)), ("y", (1, 9)), ("z", (1, 81))])
-        rule = PolyRule(c, 0, 0, optimized=True)
+        rule = PolyRule(c, 0, 0, optimized=True, shared=_Residuals(c))
         assert not rule.optimized
 
 
@@ -249,7 +252,7 @@ class TestSharedResidue:
                 rule = rules[rng.randrange(len(rules))]
                 want_store = list(store)
                 want_ctr, got_ctr = OpCounters(), OpCounters()
-                want = plain_path_oracle(c, rule.l, rule.vj, division,
+                want = plain_path_oracle(c, rule.l, rule.writes, division,
                                          want_store, want_ctr)
                 got = rule.apply(store, got_ctr)
                 assert (got, store) == (want, want_store), (c, rule)
@@ -260,7 +263,7 @@ class TestSharedResidue:
                 changed += got != UNCHANGED
                 cheaper += got_ops["total"] < want_ops["total"]
                 move = rng.random()
-                if want_store[rule.vj] is None or move < 0.15:
+                if want_store[rule.writes] is None or move < 0.15:
                     store[:] = [random_domain(rng) for _ in range(nvars)]
                 elif move < 0.3:
                     store = [random_domain(rng) for _ in range(nvars)]
