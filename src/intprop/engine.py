@@ -20,8 +20,12 @@ it calls each rule through a list of bound ``apply`` methods that
 it writes back to ``n_pending`` on every way out (fixpoint, wipe-out,
 :class:`PropagationLimit` or :class:`DeadlineReached`).  Since the list is
 built in ``__init__``, a solver calls whatever ``apply`` a rule class has
-when the solver is built.  The step limit and the deadline are checked
-once per sweep, so a propagation stops at most one sweep after either.
+when the solver is built.  The pending flags are a ``list`` of 0/1 ints,
+not a ``bytearray``: CPython 3.11+ specializes a subscript of a list by an
+int, and the loop reads or writes a flag at every schedule position it
+visits and for every reader it flags.  The step limit and the deadline
+are checked once per sweep, so a propagation stops at most one sweep
+after either.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ class Solver:
         self.deadline = deadline
         self.applications = 0
         self.effective = 0
-        self.pending = bytearray(len(self.rules))
+        self.pending = [0] * len(self.rules)
         self.n_pending = 0
 
     def note_change(self, var: int) -> None:
@@ -92,7 +96,7 @@ class Solver:
                 self.n_pending += 1
 
     def flag_all(self) -> None:
-        self.pending = bytearray(b"\x01" * len(self.rules))
+        self.pending = [1] * len(self.rules)
         self.n_pending = len(self.rules)
 
     def propagate(self, changed: Optional[Iterable[int]] = None) -> int:
@@ -128,7 +132,7 @@ class Solver:
                             if store[w] is None:
                                 # nothing is left to do after a wipe-out
                                 if np:
-                                    self.pending = bytearray(len(pending))
+                                    self.pending = [0] * len(pending)
                                     np = 0
                                 return w
                             eff += 1

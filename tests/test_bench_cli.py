@@ -134,20 +134,6 @@ class TestCli:
         assert code == 0, err
         assert "a=2" in out.splitlines()
 
-    def test_missing_file(self, capsys):
-        code, out, err = run_cli(capsys, "--problem",
-                                 "file:/nonexistent/x.csp")
-        assert code == 2
-        assert err == ("intprop: cannot read /nonexistent/x.csp: %s\n"
-                       % os.strerror(errno.ENOENT))
-
-    def test_parse_error_exit_code(self, tmp_path, capsys):
-        p = tmp_path / "bad.csp"
-        p.write_text("var x in [1..5]\nconstraint x = 1;")
-        code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
-        assert code == 2
-        assert "line" in err
-
     def test_oversized_expansion_exit_code(self, tmp_path, capsys):
         p = tmp_path / "big.csp"
         names = ["a%d" % i for i in range(10)]
@@ -266,39 +252,12 @@ class TestCli:
         assert "--max-nodes must be a number of nodes >= 0" in \
             capsys.readouterr().err
 
-    def test_unbounded_variable_is_an_input_error(self, tmp_path, capsys):
-        p = tmp_path / "unbounded.csp"
-        p.write_text("var x in Z; solve all;")
-        code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
-        assert code == 2
-        assert err.startswith("intprop: domain of x is still unbounded")
-
     def test_size_for_fractions_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "--problem", "fractions", "--n", "5",
                                  "--max-nodes", "1", "--stats", "json")
         assert code == 2
         assert out == ""
         assert err == "intprop: fractions takes no size\n"
-
-    def test_size_for_a_problem_file_is_an_input_error(self, tmp_path,
-                                                       capsys):
-        p = tmp_path / "ex.csp"
-        p.write_text("var x in [1..3]; solve all;")
-        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
-                                 "--n", "5")
-        assert code == 2
-        assert out == ""
-        assert err == "intprop: a problem file takes no size\n"
-
-    @pytest.mark.parametrize("name, n, least", [("sumprod", -3, 1),
-                                                ("kyoto", 1, 2)])
-    def test_size_below_the_least_is_an_input_error(self, capsys, name, n,
-                                                    least):
-        code, out, err = run_cli(capsys, "--problem", name, "--n", str(n))
-        assert code == 2
-        assert out == ""
-        assert err == ("intprop: %s takes a size of at least %d, not %d\n"
-                       % (name, least, n))
 
     # every input error and run error: (problem file text or None, the
     # arguments, with {file} for that file's path, and the stderr message)
@@ -320,6 +279,12 @@ class TestCli:
         "size below the least": (
             None, ["--problem", "sumprod", "--n", "0"],
             "sumprod takes a size of at least 1, not 0"),
+        "negative size": (
+            None, ["--problem", "sumprod", "--n", "-3"],
+            "sumprod takes a size of at least 1, not -3"),
+        "size below the least of kyoto": (
+            None, ["--problem", "kyoto", "--n", "1"],
+            "kyoto takes a size of at least 2, not 1"),
         "maximize without an objective": (
             None, ["--problem", "sumprod", "--n", "4", "--goal", "maximize"],
             "the problem has no objective to maximize"),

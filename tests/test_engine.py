@@ -176,3 +176,20 @@ class TestPropagate:
         s.note_change(0)
         s.propagate()
         assert s.counters.total() >= total
+
+    def test_pending_flags_stay_a_list(self):
+        why = ("pending must be a list: CPython specializes list subscripts "
+               "by an int, not bytearray ones, in the propagation loop")
+        dec = decompose(parse("""
+            var x in [1..10]; var y in [1..10]; var z in [1..10];
+            constraint x + y + z = 40;
+        """), "du")
+        s = Solver(dec)
+        assert type(s.pending) is list, why
+        s.flag_all()
+        assert type(s.pending) is list, why
+        flags = s.pending
+        assert s.propagate() != FIXPOINT
+        # the wipe-out left flags to clear, so it built new ones
+        assert s.pending is not flags
+        assert type(s.pending) is list, why
