@@ -134,6 +134,20 @@ class TestCli:
         assert code == 0, err
         assert "a=2" in out.splitlines()
 
+    def test_missing_file(self, capsys):
+        code, out, err = run_cli(capsys, "--problem",
+                                 "file:/nonexistent/x.csp")
+        assert code == 2
+        assert err == ("intprop: cannot read /nonexistent/x.csp: %s\n"
+                       % os.strerror(errno.ENOENT))
+
+    def test_parse_error_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "bad.csp"
+        p.write_text("var x in [1..5]\nconstraint x = 1;")
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
+        assert code == 2
+        assert "line" in err
+
     def test_oversized_expansion_exit_code(self, tmp_path, capsys):
         p = tmp_path / "big.csp"
         names = ["a%d" % i for i in range(10)]
@@ -252,12 +266,29 @@ class TestCli:
         assert "--max-nodes must be a number of nodes >= 0" in \
             capsys.readouterr().err
 
+    def test_unbounded_variable_is_an_input_error(self, tmp_path, capsys):
+        p = tmp_path / "unbounded.csp"
+        p.write_text("var x in Z; solve all;")
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p)
+        assert code == 2
+        assert err.startswith("intprop: domain of x is still unbounded")
+
     def test_size_for_fractions_is_an_input_error(self, capsys):
         code, out, err = run_cli(capsys, "--problem", "fractions", "--n", "5",
                                  "--max-nodes", "1", "--stats", "json")
         assert code == 2
         assert out == ""
         assert err == "intprop: fractions takes no size\n"
+
+    def test_size_for_a_problem_file_is_an_input_error(self, tmp_path,
+                                                       capsys):
+        p = tmp_path / "ex.csp"
+        p.write_text("var x in [1..3]; solve all;")
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "intprop: a problem file takes no size\n"
 
     # every input error and run error: (problem file text or None, the
     # arguments, with {file} for that file's path, and the stderr message)
