@@ -56,12 +56,12 @@ class Solver:
     Confine an instance to a single thread; independent instances are free
     to run concurrently, also when built from one decomposition.  They then
     share its rules, and with them the residue snapshots of its polynomial
-    constraints; a snapshot is reused only for the store it was computed
-    for and only while that store's domains are equal to its own, so no
-    instance takes another's snapshot as valid and results never depend on
-    other instances.  Op counters do not depend on earlier runs; runs that
-    interleave may count more, since each re-evaluates the snapshots the
-    other replaced.
+    constraints and long linear equalities; a snapshot is reused only for
+    the store it was computed for and only while that store's domains are
+    equal to its own, so no instance takes another's snapshot as valid and
+    results never depend on other instances.  Op counters do not depend on
+    earlier runs; runs that interleave may count more, since each
+    re-evaluates the snapshots the other replaced.
 
     ``deadline``, a :func:`time.perf_counter` value or ``None``, makes
     :meth:`propagate` raise :class:`DeadlineReached` after the first sweep

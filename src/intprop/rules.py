@@ -10,9 +10,11 @@ write of ``None`` (the empty interval) into the store signals failure and
 the caller must stop propagating, and no rule is applied to a store with
 an empty domain.  Rules are immutable, except that the rules of one
 general polynomial constraint share a snapshot of its monomials'
-intervals and residues, keyed on the store and validated by value, which
-any of them may fill in or replace.  The result of ``apply`` depends only
-on the store's domains.
+intervals and residues, and those of one linear equality of at least
+:data:`LONG_SUM` terms a snapshot of one rule's residue; each snapshot
+is keyed on the store and validated by value, and any of the rules may
+fill it in or replace it.  The result of ``apply`` depends only on the
+store's domains.
 
 Rule families:
 
@@ -81,6 +83,11 @@ from .model import (
 from .rationals import q_add, q_div, q_of, q_to_interval
 
 UNCHANGED = -1
+
+# the least number of terms of a linear equality whose rules share one
+# residue snapshot; on shorter sums the per-rule sum costs less than the
+# snapshot's upkeep
+LONG_SUM = 6
 
 DomainStore = List[Interval]
 
@@ -176,36 +183,86 @@ class Rule:
 
 
 class LinearEqRule(Rule):
-    """Isolate one variable of `sum a_i*x_i = b` and divide the residue."""
+    """Isolate one variable of `sum a_i*x_i = b` and divide the residue.
 
-    __slots__ = ("others", "aj", "b")
+    ``shared`` is ``None`` (the residue is summed from the other terms on
+    every application) or the constraint's :class:`_LinearResidue`, which
+    :func:`build_rules` passes to every rule of an equality of at least
+    :data:`LONG_SUM` terms.  On a store whose domains it has seen, a rule
+    takes its residue from the shared snapshot in O(1).
+    """
+
+    __slots__ = ("others", "aj", "b", "shared")
 
     variant = "LinearEq"
 
-    def __init__(self, coeffs: Sequence[Tuple[int, int]], b: int, j: int):
+    def __init__(self, coeffs: Sequence[Tuple[int, int]], b: int, j: int,
+                 shared: "_LinearResidue" = None):
         self.others = tuple(av for i, av in enumerate(coeffs) if i != j)
         self.aj, self.writes = coeffs[j]
         self.b = b
         self.reads = tuple(v for _, v in self.others)
+        self.shared = shared
 
     def apply(self, store, ctr):
-        others = self.others
         aj = self.aj
-        try:
-            lo = hi = self.b
-            for a, v in others:
-                d0, d1 = store[v]
+        w = self.writes
+        shared = self.shared
+        # the per-rule sum, unless the shared snapshot is for this store
+        # and its domains
+        if (shared is None
+                or (snap := shared.snap)[1] != (
+                    domains := shared.domains_of(store))
+                or snap[0] is not store):
+            others = self.others
+            try:
+                lo = hi = self.b
+                for a, v in others:
+                    d0, d1 = store[v]
+                    if a > 0:
+                        lo -= d1 * a
+                        hi -= d0 * a
+                    else:
+                        lo -= d0 * a
+                        hi -= d1 * a
+            except TypeError:
+                return _narrow(store, w, iv.div_scalar(
+                    _unbounded_residue(self, store, ctr), aj, ctr))
+            n = len(others)
+            if shared is not None:
+                # a miss: the residue is published below
+                snap = None
+                rlo = lo
+                rhi = hi
+        else:
+            # the total b - sum of every term, once per snapshot: the
+            # snapshot's residue minus its term a_j*x_j
+            n = 1
+            tlo = snap[6]
+            if tlo is None:
+                a = snap[2]
+                d0, d1 = store[snap[3]]
                 if a > 0:
-                    lo -= d1 * a
-                    hi -= d0 * a
+                    tlo = snap[6] = snap[4] - d1 * a
+                    thi = snap[7] = snap[5] - d0 * a
                 else:
-                    lo -= d0 * a
-                    hi -= d1 * a
-        except TypeError:
-            return _narrow(store, self.writes, iv.div_scalar(
-                _unbounded_residue(self, store, ctr), aj, ctr))
-        # iv.div_scalar and _narrow inline, with the same op counts
-        n = len(others)
+                    tlo = snap[6] = snap[4] - d0 * a
+                    thi = snap[7] = snap[5] - d1 * a
+                n = 2
+            else:
+                thi = snap[7]
+            # plus this rule's own term
+            d0, d1 = store[w]
+            if aj > 0:
+                lo = tlo + d1 * aj
+                hi = thi + d0 * aj
+            else:
+                lo = tlo + d0 * aj
+                hi = thi + d1 * aj
+            rlo = lo
+            rhi = hi
+        # n terms scaled and added; iv.div_scalar and _narrow inline, with
+        # the same op counts
         ctr.sum += n
         if aj == 1 or aj == -1:
             ctr.multF += n + 1
@@ -220,15 +277,25 @@ class LinearEqRule(Rule):
             lo, hi = -hi, -lo
         else:
             lo, hi = -((-hi) // aj), lo // aj
-        w = self.writes
         d0, d1 = store[w]
         if d0 is not None and d0 >= lo:
             lo = d0
         if d1 is not None and d1 <= hi:
             hi = d1
         if lo is d0 and hi is d1:
+            if shared is not None and snap is None:
+                # every bound is finite: the other terms summed, and the
+                # written domain kept both of its own
+                shared.snap = [store, domains, aj, w, rlo, rhi, None, None]
             return UNCHANGED
-        store[w] = None if lo > hi else (lo, hi)
+        if lo > hi:
+            store[w] = None
+            return w
+        store[w] = (lo, hi)
+        if shared is not None:
+            # the residue does not read x_j, so it holds after the write
+            shared.snap = [store, shared.domains_of(store), aj, w, rlo, rhi,
+                           None, None]
         return w
 
 
@@ -264,6 +331,29 @@ class LinearIneqRule(LinearEqRule):
         else:
             q = (-hi if aj == -1 else -((-hi) // aj), None)
         return _narrow(store, self.writes, q)
+
+
+class _LinearResidue:
+    """The residue snapshot that the rules of one long linear equality
+    share.
+
+    ``snap`` is the list ``[store, domains, a_j, j, lo, hi, tlo, thi]``:
+    the store it holds values for, that store's domains of the
+    constraint's variables, the term ``a_j*x_j`` of the rule whose residue
+    ``b - sum_{i != j} a_i*x_i`` is ``[lo, hi]``, and the total ``b - sum
+    a_i*x_i`` as ``[tlo, thi]``, ``None`` until a rule computes it.  It is
+    reused only for the same store (``is``) with equal domains; otherwise
+    a fresh one is published with one attribute write.  Every bound it
+    covers is finite, so taking a term out of the residue or adding one
+    back is exact.  It holds no rule, so a decomposition that is dropped
+    leaves no reference cycle for the garbage collector.
+    """
+
+    __slots__ = ("domains_of", "snap")
+
+    def __init__(self, variables: Sequence[int]):
+        self.domains_of = operator.itemgetter(*variables)
+        self.snap = [None, None]
 
 
 def _unbounded_residue(rule, store, ctr):
@@ -766,8 +856,10 @@ def build_rules(constraints, division: str = "weak",
         if c.is_linear():
             coeffs = [(cf, pp[0][0]) for cf, pp in c.monomials]
             cls = LinearEqRule if c.op == "eq" else LinearIneqRule
+            shared = (_LinearResidue([v for _, v in coeffs])
+                      if c.op == "eq" and len(coeffs) >= LONG_SUM else None)
             for j in range(len(coeffs)):
-                rules.append(cls(coeffs, c.rhs, j))
+                rules.append(cls(coeffs, c.rhs, j, shared))
             continue
         shared = _Residuals(c)
         for l, (_, pp) in enumerate(c.monomials):

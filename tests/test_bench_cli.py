@@ -350,7 +350,7 @@ class TestCli:
         _, out, _ = run_cli(capsys, *args)
         assert out.splitlines()[0] == (
             "variant  nvar  nDRF  nodes  applied   %eff  sol  time(s)  root"
-            "  exp  div  multI  multF    sum  q_div  q_sum  total")
+            "  exp  div  multI  multF   sum  q_div  q_sum  total")
         _, out, _ = run_cli(capsys, *args, "--stats", "csv")
         assert out.splitlines()[0] == (
             "variant,division,schedule,nvar,n_drf,nodes,drf_applications,"

@@ -101,12 +101,36 @@ def test_counters_match_baseline(name, baseline, record_property):
     assert not differing
 
 
+def _changes(old, new, prefix=""):
+    """``(field, old value, new value)`` for each field of a cell that
+    differs, the op categories as ``ops.<category>``."""
+    for field in sorted(set(old) | set(new)):
+        a, b = old.get(field), new.get(field)
+        if isinstance(a, dict) and isinstance(b, dict):
+            yield from _changes(a, b, prefix + field + ".")
+        elif a != b:
+            yield prefix + field, a, b
+
+
 def _record():
+    try:
+        with open(BASELINE, encoding="utf-8") as fh:
+            old = json.load(fh)
+    except FileNotFoundError:
+        old = {}
     cells = {}
     for name in sorted(PROBLEMS):
         got, wall = run_problem(name)
         cells.update(got)
         print("%-10s %6.2f s" % (name, wall))
+    changed = 0
+    for key in sorted(set(old) | set(cells)):
+        diffs = list(_changes(old.get(key, {}), cells.get(key, {})))
+        changed += bool(diffs)
+        for field, a, b in diffs:
+            print("%s %s: %s -> %s" % (key, field, json.dumps(a),
+                                       json.dumps(b)))
+    print("%d of %d cells changed" % (changed, len(cells)))
     # one cell a line, so that a re-recording diffs cell by cell
     with open(BASELINE, "w", encoding="utf-8") as fh:
         fh.write("{\n%s\n}\n" % ",\n".join(

@@ -16,7 +16,9 @@ same operation counts.
 The linear rules divide their residue and narrow in place when every
 bound is finite, ``MultRule`` when every bound is finite and
 non-negative, and ``rules._narrow`` intersects inline; their oracle is
-the generic path, the kernel and then an intersection.
+the generic path, the kernel and then an intersection.  The rules of a
+long linear equality take their residue from a snapshot they share; their
+oracle is the per-rule sum, the same rule built without one.
 """
 
 import math
@@ -457,6 +459,104 @@ class TestLinearRules:
                 got = rules._narrow(store, 0, q)
                 assert store == [want], (dom, q)
                 assert got == (rules.UNCHANGED if want == dom else 0), (dom, q)
+
+
+class TestSharedLinearResidue:
+    """Every rule of one long equality, applied in a random sequence over
+    two stores that are also written, restored and copied between the
+    applications, against the same rule summing its own residue."""
+
+    @staticmethod
+    def domain(rng, c):
+        # mostly narrow finite bounds around c, some infinite ones
+        r = rng.random()
+        return (None if r < 0.04 else c - rng.choice((0, 0, 1, 3)),
+                None if 0.04 <= r < 0.08 else c + rng.choice((0, 0, 1, 3)))
+
+    @staticmethod
+    def check_snapshot(shared, coeffs, b):
+        # the snapshot covers finite bounds only, and on the domains it
+        # was published for holds its rule's residue and, once computed,
+        # the total
+        if shared.snap[0] is None:
+            return
+        _, domains, _, j, lo, hi, tlo, thi = shared.snap
+        assert all(None not in d for d in domains), domains
+        for skip, got in ((j, (lo, hi)), (None, (tlo, thi))):
+            want = (b, b)
+            for a, v in coeffs:
+                if v != skip:
+                    want = intervals.sub(
+                        want, intervals.scale(domains[v], a, OpCounters()),
+                        OpCounters())
+            assert got in (want, (None, None)), (coeffs, b, domains, skip)
+
+    @pytest.mark.parametrize("offset", (0, 10 ** 20), ids=GRID_IDS)
+    def test_random_sequences_match_the_per_rule_sum(self, offset):
+        rng = random.Random(23 + offset)
+        outcomes = set()
+        actions = set()
+        fewer = 0
+        for _ in range(40):
+            k = rng.randint(rules.LONG_SUM, 14)
+            coeffs = [(rng.choice((-3, -2, -1, 1, 2, 3)), v)
+                      for v in range(k)]
+            # domains around a point near the solutions, so that the rules
+            # narrow and the residue's exact bounds matter
+            centres = [rng.randint(-6, 6) + offset for _ in range(k)]
+            b = sum(a * c for (a, _), c in zip(coeffs, centres))
+            b += rng.choice((0, 0, 1, -2, rng.randint(-3 * k, 3 * k)))
+            shared = rules._LinearResidue(range(k))
+            pairs = [(rules.LinearEqRule(coeffs, b, j, shared),
+                      rules.LinearEqRule(coeffs, b, j)) for j in range(k)]
+            stores = [[self.domain(rng, c) for c in centres]
+                      for _ in range(2)]
+            saved = [list(s) for s in stores]
+            for _ in range(100):
+                store = rng.choice(stores)
+                action = rng.random()
+                if None in store or action < 0.08:
+                    # restore the whole store in place
+                    store[:] = rng.choice(saved)
+                    actions.add("restore")
+                    continue
+                if action < 0.16:
+                    # another write: a fresh domain, or the same values as
+                    # new objects
+                    v = rng.randrange(k)
+                    if rng.random() < 0.5:
+                        store[v] = self.domain(rng, centres[v])
+                    else:
+                        store[v] = tuple(None if x is None else int(str(x))
+                                         for x in store[v])
+                    actions.add("write")
+                    continue
+                if action < 0.2:
+                    saved.append(list(store))
+                    continue
+                # one rule, or a sweep of all of them as propagation makes
+                for rule, oracle in (pairs if action < 0.3
+                                     else [rng.choice(pairs)]):
+                    if None in store:
+                        break
+                    want_store = list(store)
+                    got_ctr, want_ctr = OpCounters(), OpCounters()
+                    want = oracle.apply(want_store, want_ctr)
+                    got = rule.apply(store, got_ctr)
+                    case = (coeffs, b, rule.writes, want_store)
+                    assert got == want, case
+                    assert store == want_store, case
+                    got_ops, want_ops = got_ctr.as_dict(), want_ctr.as_dict()
+                    assert all(got_ops[c] <= want_ops[c]
+                               for c in got_ops), case
+                    fewer += got_ops["sum"] < want_ops["sum"]
+                    outcomes.add("unchanged" if want < 0 else "emptied"
+                                 if store[want] is None else "narrowed")
+                    self.check_snapshot(shared, coeffs, b)
+        assert outcomes == {"unchanged", "emptied", "narrowed"}
+        assert actions == {"restore", "write"}
+        # the shared snapshot served a good share of the applications
+        assert fewer > 1000
 
 
 def mult_oracle_rule(rule, fn, store, ctr):

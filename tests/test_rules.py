@@ -14,6 +14,7 @@ from intprop.model import (
     parse,
 )
 from intprop.rules import (
+    LONG_SUM,
     UNCHANGED,
     DiseqVarVarRule,
     LinearEqRule,
@@ -90,6 +91,19 @@ class TestLinearRules:
         store = [(0, 3)]
         assert rule.apply(store, OpCounters()) == 0
         assert store[0] is None
+
+    def test_only_long_equalities_share_a_residue(self):
+        for k, op, shares in ((LONG_SUM, "=", True),
+                              (LONG_SUM - 1, "=", False),
+                              (LONG_SUM, "<=", False)):
+            names = ["x%d" % i for i in range(k)]
+            _, c = constraint_of(
+                "constraint %s %s 2;" % (" + ".join(names), op),
+                [(name, (0, 1)) for name in names])
+            rules = build_rules([c])
+            assert len(rules) == k
+            assert len({id(r.shared) for r in rules}) == 1
+            assert (rules[0].shared is not None) == shares, (k, op)
 
     def test_unbounded_residue(self):
         # x <= y with y unbounded above leaves x alone

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import pathlib
@@ -139,7 +140,8 @@ class TestSolveAll:
 
 class TestSharedDecomposition:
     """Solvers built from one decomposition share its rules, and with them
-    the residue snapshots of the polynomial constraints."""
+    the residue snapshots of the polynomial constraints and of the long
+    linear equalities."""
 
     @staticmethod
     def kyoto_du():
@@ -184,8 +186,19 @@ class TestSharedDecomposition:
         assert self.work(outer)[:4] == self.work(lone)[:4]
 
     def test_concurrent_runs_match_a_lone_run(self):
+        self.run_concurrently(*self.kyoto_du())
+
+    def test_concurrent_runs_share_a_linear_snapshot(self):
+        # the 12-term sum of sumprod 6 is long enough that its rules share
+        # one residue snapshot
+        csp = build_benchmark("sumprod", 6)
+        dec = decompose(csp, "fe")
+        assert any(r.variant == "LinearEq" and r.shared is not None
+                   for r in dec.rules)
+        self.run_concurrently(csp, dec)
+
+    def run_concurrently(self, csp, dec):
         # more threads than cores, switching often, all on one decomposition
-        csp, dec = self.kyoto_du()
         lone_sols, lone = solve_all(csp, dec=dec)
         results = []
 
@@ -206,6 +219,38 @@ class TestSharedDecomposition:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [(lone_sols, self.work(lone)[:4])] * 12
+
+
+class TestLongLinearSums:
+    """The rules of a long linear equality share one residue, so a rule
+    application takes a number of interval operations that does not grow
+    with the number of terms."""
+
+    @staticmethod
+    def sum_and_multF(k):
+        # x_1 + ... + x_k = k/2 over 0/1 variables: k applications a node
+        text = "".join("var x%d in [0..1];" % i for i in range(k))
+        text += "constraint %s = %d; solve all;" % (
+            " + ".join("x%d" % i for i in range(k)), k // 2)
+        _, stats = solve_all(parse(text), "du", max_nodes=5)
+        assert stats.nodes == 5
+        return stats.counters.multF + stats.counters.sum
+
+    def test_operations_grow_linearly_with_the_terms(self):
+        # 4x the terms, 4x the applications; the per-rule sum grew 16x
+        assert self.sum_and_multF(1000) <= 4.5 * self.sum_and_multF(250)
+
+    def test_a_finished_run_leaves_no_garbage_cycle(self):
+        # the snapshot refers to no rule, so the rules, the snapshot and
+        # the store it holds are freed with the run
+        csp = build_benchmark("sumprod", 6)
+        gc.collect()
+        gc.disable()
+        try:
+            solve_all(csp, "fe")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMaximize:
