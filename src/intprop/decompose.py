@@ -33,8 +33,9 @@ of the kept ones may skip numbers.  Each auxiliary's initial domain is
 the image of its definition's forward rule (the first of its rules),
 applied in definition order, so the rules are the one place where a
 definition is evaluated.  Those applications are not propagation work:
-they count into a scratch counter that is then dropped.  With an empty
-user domain the problem is infeasible and no initial domain is computed.
+they count into a scratch counter and keep their residue snapshots in a
+scratch dict, both then dropped.  With an empty user domain the problem
+is infeasible and no initial domain is computed.
 
 Each definition's rules follow one another, its forward rule first, and
 the forward rule reads exactly the definition's arguments.  The generated
@@ -349,7 +350,7 @@ def decompose(csp: CSP, variant: str,
         assert rules[base].writes == d.var
         if not empty:
             # the initial domain is the image of the forward rule
-            rules[base].apply(domains, scratch)
+            rules[base].apply(domains, scratch, {})
     n_def_rules = len(rules)
     rules.extend(build_rules(users, division, optimized=variant == "do"))
     user_rule_indices = range(n_def_rules, len(rules))

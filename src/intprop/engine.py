@@ -51,17 +51,15 @@ class DeadlineReached(Exception):
 
 
 class Solver:
-    """One propagation instance: rules + store + pending flags + counters.
+    """One propagation instance: rules + store + pending flags + counters
+    + residue snapshots.
 
     Confine an instance to a single thread; independent instances are free
-    to run concurrently, also when built from one decomposition.  They then
-    share its rules, and with them the residue snapshots of its polynomial
-    constraints and long linear equalities; a snapshot is reused only for
-    the store it was computed for and only while that store's domains are
-    equal to its own, so no instance takes another's snapshot as valid and
-    results never depend on other instances.  Op counters do not depend on
-    earlier runs; runs that interleave may count more, since each
-    re-evaluates the snapshots the other replaced.
+    to run concurrently, also when built from one decomposition: they
+    share only its rules, which are immutable.  Each instance keeps the
+    residue snapshots of its constraints in its own ``snaps`` dict, which
+    it passes to every rule it applies, so neither its results nor its op
+    counters depend on other instances.
 
     ``deadline``, a :func:`time.perf_counter` value or ``None``, makes
     :meth:`propagate` raise :class:`DeadlineReached` after the first sweep
@@ -80,6 +78,7 @@ class Solver:
         self.order = (decomposed.schedule if mode == "scheduled"
                       else range(len(self.rules)))
         self.counters = OpCounters()
+        self.snaps = {}
         self.step_limit = step_limit
         self.deadline = deadline
         self.applications = 0
@@ -114,6 +113,7 @@ class Solver:
         readers = self.readers
         store = self.store
         ctr = self.counters
+        snaps = self.snaps
         pending = self.pending
         np = self.n_pending
         apps = self.applications
@@ -127,7 +127,7 @@ class Solver:
                         pending[i] = 0
                         np -= 1
                         apps += 1
-                        w = applies[i](store, ctr)
+                        w = applies[i](store, ctr, snaps)
                         if w >= 0:
                             if store[w] is None:
                                 # nothing is left to do after a wipe-out

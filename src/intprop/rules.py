@@ -2,19 +2,24 @@
 
 A store is a list mapping variable id to interval; a rule is a descriptor
 with a ``reads`` tuple (variables its update depends on), a ``writes``
-variable, and an ``apply(store, counters)`` method.  ``counters`` is a
-required :class:`~intprop.intervals.OpCounters`, which ``apply`` and
+variable, and an ``apply(store, counters, snaps)`` method.  ``counters``
+is a required :class:`~intprop.intervals.OpCounters`, which ``apply`` and
 :func:`eval_monomial` bump for every interval operation.  ``apply`` returns
 ``-1`` when the store is unchanged, otherwise the written variable id; a
 write of ``None`` (the empty interval) into the store signals failure and
 the caller must stop propagating, and no rule is applied to a store with
-an empty domain.  Rules are immutable, except that the rules of one
-general polynomial constraint share a snapshot of its monomials'
-intervals and residues, and those of one linear equality of at least
-:data:`LONG_SUM` terms a snapshot of one rule's residue; each snapshot
-is keyed on the store and validated by value, and any of the rules may
-fill it in or replace it.  The result of ``apply`` depends only on the
-store's domains.
+an empty domain.
+
+Rules are immutable.  ``snaps`` is a ``dict`` that the caller owns, one
+per run: the rules of one general polynomial constraint share a snapshot
+of its monomials' intervals and residues, and those of one linear
+equality of at least :data:`LONG_SUM` terms a snapshot of one rule's
+residue, each kept in ``snaps`` under an immutable object of the
+constraint.  A snapshot is validated by the constraint's domains alone,
+and any of the rules may fill it in or replace it.  The result of
+``apply`` depends only on the store's domains, and its op counts only on
+those and on the snapshots of earlier applications with the same
+``snaps``.
 
 Rule families:
 
@@ -174,7 +179,7 @@ class Rule:
 
     variant = "?"
 
-    def apply(self, store: DomainStore, ctr: OpCounters) -> int:
+    def apply(self, store: DomainStore, ctr: OpCounters, snaps: dict) -> int:
         raise NotImplementedError
 
     def __repr__(self):
@@ -186,10 +191,18 @@ class LinearEqRule(Rule):
     """Isolate one variable of `sum a_i*x_i = b` and divide the residue.
 
     ``shared`` is ``None`` (the residue is summed from the other terms on
-    every application) or the constraint's :class:`_LinearResidue`, which
-    :func:`build_rules` passes to every rule of an equality of at least
-    :data:`LONG_SUM` terms.  On a store whose domains it has seen, a rule
-    takes its residue from the shared snapshot in O(1).
+    every application) or the ``operator.itemgetter`` of the constraint's
+    variables, which :func:`build_rules` passes to every rule of an
+    equality of at least :data:`LONG_SUM` terms.  It reads the
+    constraint's domains off a store and keys the constraint's snapshot in
+    ``snaps``: the list ``[domains, a_j, j, lo, hi, tlo, thi]``, the
+    domains it holds values for, the term ``a_j*x_j`` of the rule whose
+    residue ``b - sum_{i != j} a_i*x_i`` is ``[lo, hi]``, and the total
+    ``b - sum a_i*x_i`` as ``[tlo, thi]``, ``None`` until a rule computes
+    it.  On a store with those domains a rule takes its residue from the
+    snapshot in O(1); otherwise it sums the residue and publishes a fresh
+    snapshot.  Every bound a snapshot covers is finite, so taking a term
+    out of the residue or adding one back is exact.
     """
 
     __slots__ = ("others", "aj", "b", "shared")
@@ -197,23 +210,22 @@ class LinearEqRule(Rule):
     variant = "LinearEq"
 
     def __init__(self, coeffs: Sequence[Tuple[int, int]], b: int, j: int,
-                 shared: "_LinearResidue" = None):
+                 shared: operator.itemgetter = None):
         self.others = tuple(av for i, av in enumerate(coeffs) if i != j)
         self.aj, self.writes = coeffs[j]
         self.b = b
         self.reads = tuple(v for _, v in self.others)
         self.shared = shared
 
-    def apply(self, store, ctr):
+    def apply(self, store, ctr, snaps):
         aj = self.aj
         w = self.writes
         shared = self.shared
-        # the per-rule sum, unless the shared snapshot is for this store
-        # and its domains
+        # the per-rule sum, unless the snapshot is for this store's domains
+        # (a constraint with none yet compares as a miss)
         if (shared is None
-                or (snap := shared.snap)[1] != (
-                    domains := shared.domains_of(store))
-                or snap[0] is not store):
+                or (snap := snaps.get(shared, (None,)))[0] != (
+                    domains := shared(store))):
             others = self.others
             try:
                 lo = hi = self.b
@@ -238,19 +250,19 @@ class LinearEqRule(Rule):
             # the total b - sum of every term, once per snapshot: the
             # snapshot's residue minus its term a_j*x_j
             n = 1
-            tlo = snap[6]
+            tlo = snap[5]
             if tlo is None:
-                a = snap[2]
-                d0, d1 = store[snap[3]]
+                a = snap[1]
+                d0, d1 = store[snap[2]]
                 if a > 0:
-                    tlo = snap[6] = snap[4] - d1 * a
-                    thi = snap[7] = snap[5] - d0 * a
+                    tlo = snap[5] = snap[3] - d1 * a
+                    thi = snap[6] = snap[4] - d0 * a
                 else:
-                    tlo = snap[6] = snap[4] - d0 * a
-                    thi = snap[7] = snap[5] - d1 * a
+                    tlo = snap[5] = snap[3] - d0 * a
+                    thi = snap[6] = snap[4] - d1 * a
                 n = 2
             else:
-                thi = snap[7]
+                thi = snap[6]
             # plus this rule's own term
             d0, d1 = store[w]
             if aj > 0:
@@ -286,7 +298,7 @@ class LinearEqRule(Rule):
             if shared is not None and snap is None:
                 # every bound is finite: the other terms summed, and the
                 # written domain kept both of its own
-                shared.snap = [store, domains, aj, w, rlo, rhi, None, None]
+                snaps[shared] = [domains, aj, w, rlo, rhi, None, None]
             return UNCHANGED
         if lo > hi:
             store[w] = None
@@ -294,8 +306,7 @@ class LinearEqRule(Rule):
         store[w] = (lo, hi)
         if shared is not None:
             # the residue does not read x_j, so it holds after the write
-            shared.snap = [store, shared.domains_of(store), aj, w, rlo, rhi,
-                           None, None]
+            snaps[shared] = [shared(store), aj, w, rlo, rhi, None, None]
         return w
 
 
@@ -306,7 +317,7 @@ class LinearIneqRule(LinearEqRule):
 
     variant = "LinearIneq"
 
-    def apply(self, store, ctr):
+    def apply(self, store, ctr, snaps):
         others = self.others
         aj = self.aj
         try:
@@ -331,29 +342,6 @@ class LinearIneqRule(LinearEqRule):
         else:
             q = (-hi if aj == -1 else -((-hi) // aj), None)
         return _narrow(store, self.writes, q)
-
-
-class _LinearResidue:
-    """The residue snapshot that the rules of one long linear equality
-    share.
-
-    ``snap`` is the list ``[store, domains, a_j, j, lo, hi, tlo, thi]``:
-    the store it holds values for, that store's domains of the
-    constraint's variables, the term ``a_j*x_j`` of the rule whose residue
-    ``b - sum_{i != j} a_i*x_i`` is ``[lo, hi]``, and the total ``b - sum
-    a_i*x_i`` as ``[tlo, thi]``, ``None`` until a rule computes it.  It is
-    reused only for the same store (``is``) with equal domains; otherwise
-    a fresh one is published with one attribute write.  Every bound it
-    covers is finite, so taking a term out of the residue or adding one
-    back is exact.  It holds no rule, so a decomposition that is dropped
-    leaves no reference cycle for the garbage collector.
-    """
-
-    __slots__ = ("domains_of", "snap")
-
-    def __init__(self, variables: Sequence[int]):
-        self.domains_of = operator.itemgetter(*variables)
-        self.snap = [None, None]
 
 
 def _unbounded_residue(rule, store, ctr):
@@ -411,31 +399,30 @@ class _Residuals:
     """The residues of one polynomial constraint, shared by all its
     :class:`PolyRule` objects.
 
-    ``snap`` is ``(store, domains, cells)``: the store the cells hold
-    values for, that store's domains of the constraint's variables, and
-    the list ``[total, first, acc_0 .. acc_k-1, m_0 .. m_k-1]``, each entry
-    ``None`` until computed.  ``m_i`` is the ``i``-th monomial's interval,
-    ``acc_l`` the residue ``b`` minus every monomial but the ``l``-th,
-    ``total`` ``b`` minus all of them, and ``first`` the ``l`` of the first
-    residue summed.  A residue is kept as ``(lo, nlo, hi, nhi)``: ``b``
-    minus the finite upper bounds, the number of infinite ones, ``b`` minus
-    the finite lower bounds, the number of infinite ones.  Bounds are exact
-    integers, so taking a monomial out of a residue or adding one back is
-    exact: it moves one bound or one count.
+    Its snapshot, kept in ``snaps`` under the ``_Residuals`` itself, is
+    ``(domains, cells)``: the domains of the constraint's variables that
+    the cells hold values for, and the list ``[total, first, acc_0 ..
+    acc_k-1, m_0 .. m_k-1]``, each entry ``None`` until computed.  ``m_i``
+    is the ``i``-th monomial's interval, ``acc_l`` the residue ``b`` minus
+    every monomial but the ``l``-th, ``total`` ``b`` minus all of them,
+    and ``first`` the ``l`` of the first residue summed.  A residue is
+    kept as ``(lo, nlo, hi, nhi)``: ``b`` minus the finite upper bounds,
+    the number of infinite ones, ``b`` minus the finite lower bounds, the
+    number of infinite ones.  Bounds are exact integers, so taking a
+    monomial out of a residue or adding one back is exact: it moves one
+    bound or one count.
 
-    The cells are reused only for the same store (``is``) with equal
-    domains; otherwise fresh ones are published with one attribute write.
-    Every monomial is evaluated at most once per snapshot, and only for a
-    rule that does not pivot on it.  The first residue is summed from the
-    other monomials.  With three or more monomials, ``total`` is then the
-    first residue minus its own monomial, and every further residue is
-    ``total`` plus one monomial.  So no rule application evaluates a
-    monomial or adds an interval that the per-rule sum ``b - m_1 - ... -
-    m_k`` would not.
+    The cells are reused only on a store with equal domains; otherwise
+    fresh ones are published with one dict write.  Every monomial is
+    evaluated at most once per snapshot, and only for a rule that does not
+    pivot on it.  The first residue is summed from the other monomials.
+    With three or more monomials, ``total`` is then the first residue
+    minus its own monomial, and every further residue is ``total`` plus
+    one monomial.  So no rule application evaluates a monomial or adds an
+    interval that the per-rule sum ``b - m_1 - ... - m_k`` would not.
     """
 
-    __slots__ = ("b", "counts", "vars", "domains_of", "terms", "blank",
-                 "snap")
+    __slots__ = ("b", "counts", "vars", "domains_of", "terms", "blank")
 
     def __init__(self, constraint: PolynomialConstraint):
         mons = constraint.monomials
@@ -449,16 +436,15 @@ class _Residuals:
         self.terms = tuple((2 + k + i, c, pp)
                            for i, (c, pp) in enumerate(mons))
         self.blank = [None] * (2 + 2 * k)
-        self.snap = (None, None, self.blank.copy())
 
-    def residue(self, l: int, store: DomainStore,
-                ctr: OpCounters) -> Interval:
+    def residue(self, l: int, store: DomainStore, ctr: OpCounters,
+                snaps: dict) -> Interval:
         """``b`` minus every monomial but the ``l``-th, on ``store``."""
         domains = self.domains_of(store)
-        snap = self.snap
-        if snap[0] is not store or snap[1] != domains:
-            snap = self.snap = (store, domains, self.blank.copy())
-        cells = snap[2]
+        snap = snaps.get(self)
+        if snap is None or snap[0] != domains:
+            snap = snaps[self] = (domains, self.blank.copy())
+        cells = snap[1]
         acc = cells[2 + l]
         if acc is None:
             if cells[1] is not None and len(self.terms) > 2:
@@ -535,7 +521,7 @@ class PolyRule(Rule):
     ``x_j ** n_p`` and the divisor monomial ``s``; the residue ``b`` minus
     the other monomials is divided by ``s`` and root-extracted.  The
     residue comes from the :class:`_Residuals` that all rules of the
-    constraint share; on a store whose domains it has already seen, in
+    constraint share; on a store with its snapshot's domains, in
     O(1).  Equality divides an interval, inequality the half-line below
     its upper bound; both use the rule's division, which never snaps the
     denominator for a half-line (weak and strong division agree there).
@@ -584,7 +570,7 @@ class PolyRule(Rule):
                                           self.s_pp)
                        if self.optimized else None)
 
-    def apply(self, store, ctr):
+    def apply(self, store, ctr, snaps):
         if self.optimized:
             for v in self.s_vars:
                 d = store[v]
@@ -593,7 +579,7 @@ class PolyRule(Rule):
                     break
             else:
                 return self._apply_fractions(store, ctr)
-        acc = self.shared.residue(self.l, store, ctr)
+        acc = self.shared.residue(self.l, store, ctr, snaps)
         if self.op == "le":
             acc = (None, acc[1])
         if self.s_pp:
@@ -663,7 +649,7 @@ class MultRule(Rule):
         w = "w" if self.fn is iv.div_weak else ""
         return "Mult%d%s" % (self.kind, w)
 
-    def apply(self, store, ctr):
+    def apply(self, store, ctr, snaps):
         da = store[self.a]
         db = store[self.b]
         a0, a1 = da
@@ -708,7 +694,7 @@ class ExpoRule(Rule):
         self.writes = x
         self.reads = (y,)
 
-    def apply(self, store, ctr):
+    def apply(self, store, ctr, snaps):
         return _narrow(store, self.writes, iv.exp(store[self.y], self.n, ctr))
 
 
@@ -725,7 +711,7 @@ class RootXRule(Rule):
         self.writes = y
         self.reads = (x, y) if n % 2 == 0 else (x,)
 
-    def apply(self, store, ctr):
+    def apply(self, store, ctr, snaps):
         return _narrow(store, self.writes, store[self.x], self.n, ctr)
 
 
@@ -744,7 +730,7 @@ class DiseqVarVarRule(Rule):
         self.writes = target
         self.reads = (target, other)
 
-    def apply(self, store, ctr):
+    def apply(self, store, ctr, snaps):
         do = store[self.other]
         if do[0] is None or do[0] != do[1]:
             return UNCHANGED
@@ -763,7 +749,7 @@ class DiseqVarConstRule(Rule):
         self.writes = x
         self.reads = (x,)
 
-    def apply(self, store, ctr):
+    def apply(self, store, ctr, snaps):
         return _exclude(store, self.writes, self.c)
 
 
@@ -795,7 +781,7 @@ class DiseqCheckRule(Rule):
         self.reads = vs
         self.writes = vs[0]
 
-    def apply(self, store, ctr):
+    def apply(self, store, ctr, snaps):
         values = {}
         for v in self.reads:
             d = store[v]
@@ -856,7 +842,7 @@ def build_rules(constraints, division: str = "weak",
         if c.is_linear():
             coeffs = [(cf, pp[0][0]) for cf, pp in c.monomials]
             cls = LinearEqRule if c.op == "eq" else LinearIneqRule
-            shared = (_LinearResidue([v for _, v in coeffs])
+            shared = (operator.itemgetter(*(v for _, v in coeffs))
                       if c.op == "eq" and len(coeffs) >= LONG_SUM else None)
             for j in range(len(coeffs)):
                 rules.append(cls(coeffs, c.rhs, j, shared))

@@ -65,7 +65,7 @@ class TestPropagate:
             s.flag_all()
             if s.propagate() == FIXPOINT:
                 for r in dec.rules:
-                    assert r.apply(s.store, OpCounters()) == UNCHANGED
+                    assert r.apply(s.store, OpCounters(), {}) == UNCHANGED
 
     def test_modes_reach_the_same_fixpoint(self):
         rng = random.Random(22)

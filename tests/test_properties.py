@@ -348,7 +348,7 @@ def applied(rule, box):
     rule changes nothing else, and reports a change exactly when it
     makes one."""
     store = list(box)
-    w = rule.apply(store, OpCounters())
+    w = rule.apply(store, OpCounters(), {})
     assert all(store[v] == box[v] for v in range(NVARS) if v != rule.writes)
     assert w == (UNCHANGED if store == box else rule.writes), (w, box, store)
     return store[rule.writes]

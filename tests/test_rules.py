@@ -41,7 +41,7 @@ class TestLinearRules:
         # 100u - 10v = 212 over [1..81]^2, isolate u
         rule = LinearEqRule(((100, 0), (-10, 1)), 212, 0)
         store = [(1, 81), (1, 81)]
-        assert rule.apply(store, OpCounters()) == 0
+        assert rule.apply(store, OpCounters(), {}) == 0
         assert store[0] == (3, 10)
 
     def test_equality_fixpoint_reaches_empty(self):
@@ -51,7 +51,7 @@ class TestLinearRules:
         for _ in range(30):
             changed = False
             for r in rules:
-                w = r.apply(store, OpCounters())
+                w = r.apply(store, OpCounters(), {})
                 if w >= 0:
                     changed = True
                 if store[0] is None or store[1] is None:
@@ -63,33 +63,33 @@ class TestLinearRules:
     def test_singleton_assignment(self):
         rule = LinearEqRule(((1, 0),), 5, 0)
         store = [(0, 9)]
-        assert rule.apply(store, OpCounters()) == 0
+        assert rule.apply(store, OpCounters(), {}) == 0
         assert store[0] == (5, 5)
 
     def test_parity_failure(self):
         rule = LinearEqRule(((2, 0),), 7, 0)
         store = [(0, 9)]
-        assert rule.apply(store, OpCounters()) == 0
+        assert rule.apply(store, OpCounters(), {}) == 0
         assert store[0] is None
 
     def test_inequality_shift(self):
         # x1 <= x2 - 1  ==  x1 - x2 <= -1
         rule = LinearIneqRule(((1, 0), (-1, 1)), -1, 0)
         store = [(1, 10 ** 5), (1, 10 ** 5)]
-        assert rule.apply(store, OpCounters()) == 0
+        assert rule.apply(store, OpCounters(), {}) == 0
         assert store[0] == (1, 99999)
 
     def test_inequality_on_aux(self):
         # u - x <= 40 with u in [1..10^8], x in [1..100]
         rule = LinearIneqRule(((1, 0), (-1, 1)), 40, 0)
         store = [(1, 10 ** 8), (1, 100)]
-        assert rule.apply(store, OpCounters()) == 0
+        assert rule.apply(store, OpCounters(), {}) == 0
         assert store[0] == (1, 140)
 
     def test_inequality_failure(self):
         rule = LinearIneqRule(((-1, 0),), -5, 0)
         store = [(0, 3)]
-        assert rule.apply(store, OpCounters()) == 0
+        assert rule.apply(store, OpCounters(), {}) == 0
         assert store[0] is None
 
     def test_only_long_equalities_share_a_residue(self):
@@ -104,12 +104,17 @@ class TestLinearRules:
             assert len(rules) == k
             assert len({id(r.shared) for r in rules}) == 1
             assert (rules[0].shared is not None) == shares, (k, op)
+            if shares:
+                # the shared object reads the constraint's domains off a
+                # store, in the constraint's variable order
+                store = [(i, i + 1) for i in range(k)]
+                assert rules[0].shared(store) == tuple(store)
 
     def test_unbounded_residue(self):
         # x <= y with y unbounded above leaves x alone
         rule = LinearIneqRule(((1, 0), (-1, 1)), 0, 0)
         store = [(1, 10), (1, None)]
-        assert rule.apply(store, OpCounters()) == UNCHANGED
+        assert rule.apply(store, OpCounters(), {}) == UNCHANGED
 
 
 class TestPolyRules:
@@ -118,7 +123,7 @@ class TestPolyRules:
                                [("x", (0, 10)), ("y", (25, 100))])
         rule = PolyRule(c, 0, 0, shared=_Residuals(c))
         store = list(csp.domains)
-        assert rule.apply(store, OpCounters()) == 0
+        assert rule.apply(store, OpCounters(), {}) == 0
         assert store[0] == (5, 10)
 
     def test_two_product_constraint_makes_no_progress(self):
@@ -127,14 +132,14 @@ class TestPolyRules:
         store = list(csp.domains)
         for l, v in ((0, 0), (0, 1), (1, 1), (1, 2)):
             rule = PolyRule(c, l, v, shared=_Residuals(c))
-            assert rule.apply(store, OpCounters()) == UNCHANGED
+            assert rule.apply(store, OpCounters(), {}) == UNCHANGED
 
     def test_exact_division_on_singleton(self):
         csp, c = constraint_of("constraint x*y = 6;",
                                [("x", (2, 2)), ("y", (1, 10))])
         rule = PolyRule(c, 0, 1, shared=_Residuals(c))
         store = list(csp.domains)
-        assert rule.apply(store, OpCounters()) == 1
+        assert rule.apply(store, OpCounters(), {}) == 1
         assert store[1] == (3, 3)
 
     def test_running_inequality_bounds(self):
@@ -142,12 +147,12 @@ class TestPolyRules:
                                [("x", (1, 100)), ("y", (1, 100))])
         rx = PolyRule(c, 0, 0, shared=_Residuals(c))
         store = list(csp.domains)
-        assert rx.apply(store, OpCounters()) == 0
+        assert rx.apply(store, OpCounters(), {}) == 0
         assert store[0] == (1, 5)
-        assert rx.apply(store, OpCounters()) == 0
+        assert rx.apply(store, OpCounters(), {}) == 0
         assert store[0] == (1, 3)
         ry = PolyRule(c, 0, 1, shared=_Residuals(c))
-        assert ry.apply(store, OpCounters()) == 1
+        assert ry.apply(store, OpCounters(), {}) == 1
         assert store[1] == (1, 43)
 
     def test_optimized_inequality_is_tighter(self):
@@ -155,10 +160,10 @@ class TestPolyRules:
                                [("x", (1, 100)), ("y", (1, 100))])
         store = list(csp.domains)
         rx = PolyRule(c, 0, 0, shared=_Residuals(c))
-        rx.apply(store, OpCounters())   # x <= 5
+        rx.apply(store, OpCounters(), {})   # x <= 5
         ry = PolyRule(c, 0, 1, optimized=True, shared=_Residuals(c))
         assert ry.optimized
-        assert ry.apply(store, OpCounters()) == 1
+        assert ry.apply(store, OpCounters(), {}) == 1
         assert store[1] == (1, 41)
 
     def test_optimized_falls_back_when_zero_in_divisor(self):
@@ -168,8 +173,8 @@ class TestPolyRules:
         ry = PolyRule(c, 0, 1, optimized=True, shared=_Residuals(c))
         plain = PolyRule(c, 0, 1, shared=_Residuals(c))
         store2 = list(csp.domains)
-        assert (ry.apply(store, OpCounters())
-                == plain.apply(store2, OpCounters()))
+        assert (ry.apply(store, OpCounters(), {})
+                == plain.apply(store2, OpCounters(), {}))
         assert store == store2
 
     def test_optimized_equality_reduces_two_product_example(self):
@@ -177,7 +182,7 @@ class TestPolyRules:
                                [("x", (1, 9)), ("y", (1, 9)), ("z", (1, 9))])
         rule = PolyRule(c, 0, 0, optimized=True, shared=_Residuals(c))
         store = list(csp.domains)
-        assert rule.apply(store, OpCounters()) == 0
+        assert rule.apply(store, OpCounters(), {}) == 0
         assert store[0] == (1, 3)
 
     def test_optimized_not_used_without_shared_variables(self):
@@ -243,7 +248,8 @@ def random_domain(rng):
 
 class TestSharedResidue:
     def test_matches_per_rule_residue(self):
-        # The rules of one constraint share one snapshot of its monomials.
+        # The rules of one constraint share one snapshot of its monomials,
+        # kept in one dict across the steps.
         # Each step applies a random rule to the running store and the
         # oracle to a copy; between steps the store is replaced, refilled
         # in place (the same list with other domains, as search restores
@@ -262,13 +268,14 @@ class TestSharedResidue:
             if not rules:
                 continue
             store = [random_domain(rng) for _ in range(nvars)]
+            snaps = {}
             for _ in range(12):
                 rule = rules[rng.randrange(len(rules))]
                 want_store = list(store)
                 want_ctr, got_ctr = OpCounters(), OpCounters()
                 want = plain_path_oracle(c, rule.l, rule.writes, division,
                                          want_store, want_ctr)
-                got = rule.apply(store, got_ctr)
+                got = rule.apply(store, got_ctr, snaps)
                 assert (got, store) == (want, want_store), (c, rule)
                 want_ops, got_ops = want_ctr.as_dict(), got_ctr.as_dict()
                 assert all(got_ops[k] <= want_ops[k] for k in want_ops), (
@@ -292,21 +299,21 @@ class TestSharedResidue:
 class TestMultRules:
     def test_interacting_directions_solve_the_triple(self):
         store = [(1, 20), (9, 11), (155, 161)]
-        assert MultRule(2, 0, 1, 2, "strong").apply(store, OpCounters()) == 0
+        assert MultRule(2, 0, 1, 2, "strong").apply(store, OpCounters(), {}) == 0
         assert store[0] == (16, 16)
-        assert MultRule(3, 0, 1, 2, "strong").apply(store, OpCounters()) == 1
+        assert MultRule(3, 0, 1, 2, "strong").apply(store, OpCounters(), {}) == 1
         assert store[1] == (10, 10)
-        assert MultRule(1, 0, 1, 2, "strong").apply(store, OpCounters()) == 2
+        assert MultRule(1, 0, 1, 2, "strong").apply(store, OpCounters(), {}) == 2
         assert store[2] == (160, 160)
 
     def test_integer_reasoning_beats_real_relaxation(self):
         store = [(-3, 3), (-1, 1), (1, 2)]
-        assert MultRule(2, 0, 1, 2, "strong").apply(store, OpCounters()) == 0
+        assert MultRule(2, 0, 1, 2, "strong").apply(store, OpCounters(), {}) == 0
         assert store[0] == (-2, 2)
 
     def test_weak_direction(self):
         store = [(1, 20), (9, 11), (155, 161)]
-        assert MultRule(2, 0, 1, 2, "weak").apply(store, OpCounters()) == 0
+        assert MultRule(2, 0, 1, 2, "weak").apply(store, OpCounters(), {}) == 0
         assert store[0] == (15, 17)
 
     def test_variant_names(self):
@@ -318,17 +325,17 @@ class TestMultRules:
 class TestExpoRoot:
     def test_root_direction(self):
         store = [(25, 100), (0, 10)]
-        assert RootXRule(0, 1, 2).apply(store, OpCounters()) == 1
+        assert RootXRule(0, 1, 2).apply(store, OpCounters(), {}) == 1
         assert store[1] == (5, 10)
 
     def test_expo_direction(self):
         store = [(-100, 100), (-2, 3)]
-        assert ExpoRule(0, 1, 3).apply(store, OpCounters()) == 0
+        assert ExpoRule(0, 1, 3).apply(store, OpCounters(), {}) == 0
         assert store[0] == (-8, 27)
 
     def test_root_failure(self):
         store = [(2, 3), (0, 10)]
-        assert RootXRule(0, 1, 2).apply(store, OpCounters()) == 1
+        assert RootXRule(0, 1, 2).apply(store, OpCounters(), {}) == 1
         assert store[1] is None
 
 
@@ -336,19 +343,19 @@ class TestDiseq:
     def test_bound_trim(self):
         rule = DiseqVarVarRule(1, 0, 0)
         store = [(3, 3), (3, 7)]
-        assert rule.apply(store, OpCounters()) == 1
+        assert rule.apply(store, OpCounters(), {}) == 1
         assert store[1] == (4, 7)
 
     def test_failure_on_equal_singletons(self):
         rule = DiseqVarVarRule(1, 0, 0)
         store = [(3, 3), (3, 3)]
-        assert rule.apply(store, OpCounters()) == 1
+        assert rule.apply(store, OpCounters(), {}) == 1
         assert store[1] is None
 
     def test_no_singleton_no_change(self):
         rule = DiseqVarVarRule(0, 1, 0)
         store = [(1, 5), (2, 9)]
-        assert rule.apply(store, OpCounters()) == UNCHANGED
+        assert rule.apply(store, OpCounters(), {}) == UNCHANGED
 
     def test_trivially_true_disequalities_get_no_rule(self):
         c = normalize(Mul(Lit(2), Var(0)), "!=", Lit(7))
@@ -358,9 +365,9 @@ class TestDiseq:
         c = normalize(Add(Mul(Var(0), Var(1)), Var(0)), "!=", Lit(6))
         (rule,) = build_rules([c])
         store = [(2, 2), (1, 5)]
-        assert rule.apply(store, OpCounters()) == UNCHANGED
+        assert rule.apply(store, OpCounters(), {}) == UNCHANGED
         store = [(2, 2), (2, 2)]
-        assert rule.apply(store, OpCounters()) == 0
+        assert rule.apply(store, OpCounters(), {}) == 0
         assert store[0] is None
 
 

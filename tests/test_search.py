@@ -139,9 +139,11 @@ class TestSolveAll:
 
 
 class TestSharedDecomposition:
-    """Solvers built from one decomposition share its rules, and with them
-    the residue snapshots of the polynomial constraints and of the long
-    linear equalities."""
+    """Solvers built from one decomposition share only its rules, which
+    are immutable; each keeps the residue snapshots of the polynomial
+    constraints and of the long linear equalities to itself.  So runs on
+    one decomposition, one after another, nested or concurrent, find the
+    same solutions with the same work, op counters included."""
 
     @staticmethod
     def kyoto_du():
@@ -183,7 +185,7 @@ class TestSharedDecomposition:
         outer_sols, outer = solve_all(csp, dec=dec, on_solution=run_inner)
         assert inner and inner[0][0] == lone_sols
         assert outer_sols == lone_sols
-        assert self.work(outer)[:4] == self.work(lone)[:4]
+        assert self.work(outer) == self.work(lone)
 
     def test_concurrent_runs_match_a_lone_run(self):
         self.run_concurrently(*self.kyoto_du())
@@ -205,7 +207,7 @@ class TestSharedDecomposition:
         def run():
             for _ in range(3):
                 sols, stats = solve_all(csp, dec=dec)
-                results.append((sols, self.work(stats)[:4]))
+                results.append((sols, self.work(stats)))
 
         threads = [threading.Thread(target=run) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -218,7 +220,34 @@ class TestSharedDecomposition:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert results == [(lone_sols, self.work(lone)[:4])] * 12
+        assert results == [(lone_sols, self.work(lone))] * 12
+
+    @staticmethod
+    def bindings(dec):
+        # every slot value of every rule and of its shared object, by
+        # identity; slots that a class inherits count too
+        shared = [r.shared for r in dec.rules
+                  if getattr(r, "shared", None) is not None]
+        return {(id(obj), name): id(getattr(obj, name))
+                for obj in dec.rules + shared
+                for cls in type(obj).__mro__
+                for name in getattr(cls, "__slots__", ())}
+
+    def test_runs_rebind_no_rule_slot(self):
+        kyoto, dec = self.kyoto_du()
+        sumprod = build_benchmark("sumprod", 6)
+        kinds = set()
+        for csp, dec in ((kyoto, dec), (sumprod, decompose(sumprod, "fe")),
+                         (kyoto, decompose(kyoto, "do"))):
+            before = self.bindings(dec)
+            for _ in range(2):
+                sols, _ = solve_all(csp, dec=dec)
+                assert sols
+            assert self.bindings(dec) == before, dec.variant
+            kinds.update(type(r.shared).__name__ for r in dec.rules
+                         if getattr(r, "shared", None) is not None)
+        # the polynomial residues and a long equality's itemgetter
+        assert kinds == {"_Residuals", "itemgetter"}
 
 
 class TestLongLinearSums:
@@ -241,8 +270,9 @@ class TestLongLinearSums:
         assert self.sum_and_multF(1000) <= 4.5 * self.sum_and_multF(250)
 
     def test_a_finished_run_leaves_no_garbage_cycle(self):
-        # the snapshot refers to no rule, so the rules, the snapshot and
-        # the store it holds are freed with the run
+        # the solver's snapshot dict refers to no rule and no rule to it,
+        # so the rules, the snapshots and the domains they hold are freed
+        # with the run
         csp = build_benchmark("sumprod", 6)
         gc.collect()
         gc.disable()
