@@ -16,16 +16,17 @@ fixpoint is unique.
 
 The loop is the solver's hottest path, so it does little per application:
 it calls each rule through a list of bound ``apply`` methods that
-:class:`Solver` builds once, and keeps the pending count in a local that
-it writes back to ``n_pending`` on every way out (fixpoint, wipe-out,
-:class:`PropagationLimit` or :class:`DeadlineReached`).  Since the list is
-built in ``__init__``, a solver calls whatever ``apply`` a rule class has
-when the solver is built.  The pending flags are a ``list`` of 0/1 ints,
-not a ``bytearray``: CPython 3.11+ specializes a subscript of a list by an
-int, and the loop reads or writes a flag at every schedule position it
-visits and for every reader it flags.  The step limit and the deadline
-are checked once per sweep, so a propagation stops at most one sweep
-after either.
+:class:`Solver` builds once.  Since the list is built in ``__init__``, a
+solver calls whatever ``apply`` a rule class has when the solver is
+built.  The pending flags are the loop's only pending state: a sweep
+repeats while any flag is set, and ``any`` scans them in C once per
+sweep, while the sweep itself visits every schedule position in Python.
+They are a ``list`` of 0/1 ints, not a ``bytearray``: CPython 3.11+
+specializes a subscript of a list by an int, and the loop reads or
+writes a flag at every schedule position it visits and for every reader
+it flags.  The step budget and the deadline apply to one run of
+:meth:`Solver.propagate`; both are checked once per sweep, so a run stops
+at most one sweep after either.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ DEFAULT_STEP_LIMIT = 10 ** 8
 
 
 class PropagationLimit(RuntimeError):
-    """Raised when a propagation run exceeds the application budget."""
+    """Raised when one propagation run applies more rules than the
+    solver's ``step_limit``; applications of earlier runs do not count."""
 
 
 class DeadlineReached(Exception):
@@ -84,19 +86,15 @@ class Solver:
         self.applications = 0
         self.effective = 0
         self.pending = [0] * len(self.rules)
-        self.n_pending = 0
 
     def note_change(self, var: int) -> None:
         """Flag every rule whose update depends on the variable."""
         pending = self.pending
         for r in self.readers[var]:
-            if not pending[r]:
-                pending[r] = 1
-                self.n_pending += 1
+            pending[r] = 1
 
     def flag_all(self) -> None:
         self.pending = [1] * len(self.rules)
-        self.n_pending = len(self.rules)
 
     def propagate(self, changed: Optional[Iterable[int]] = None) -> int:
         """Run to fixpoint; returns FIXPOINT or the emptied variable id.
@@ -104,7 +102,11 @@ class Solver:
         ``changed`` seeds the pending set with the readers of those
         variables (after branching); pass nothing to continue from the
         current flags (use :meth:`flag_all` for an initial run).  A
-        wipe-out clears every pending flag, as a fixpoint does.
+        wipe-out clears every pending flag, as a fixpoint does.  The run
+        raises :class:`PropagationLimit` once it has applied more than
+        ``step_limit`` rules, counted from its start, and
+        :class:`DeadlineReached` after a sweep that ends at or past the
+        deadline.
         """
         if changed is not None:
             for v in changed:
@@ -115,38 +117,31 @@ class Solver:
         ctr = self.counters
         snaps = self.snaps
         pending = self.pending
-        np = self.n_pending
         apps = self.applications
         eff = self.effective
-        limit = self.step_limit
+        limit = apps + self.step_limit
         deadline = self.deadline
         try:
-            while np:
+            while any(pending):
                 for i in self.order:
                     if pending[i]:
                         pending[i] = 0
-                        np -= 1
                         apps += 1
                         w = applies[i](store, ctr, snaps)
                         if w >= 0:
                             if store[w] is None:
                                 # nothing is left to do after a wipe-out
-                                if np:
-                                    self.pending = [0] * len(pending)
-                                    np = 0
+                                self.pending = [0] * len(pending)
                                 return w
                             eff += 1
                             for r in readers[w]:
-                                if not pending[r]:
-                                    pending[r] = 1
-                                    np += 1
+                                pending[r] = 1
                 if apps > limit:
                     raise PropagationLimit(
-                        "more than %d rule applications" % limit)
+                        "more than %d rule applications" % self.step_limit)
                 if deadline is not None and perf_counter() >= deadline:
                     raise DeadlineReached()
             return FIXPOINT
         finally:
-            self.n_pending = np
             self.applications = apps
             self.effective = eff

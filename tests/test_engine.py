@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +30,7 @@ class TestPropagate:
                 s.flag_all()
                 assert s.propagate() == FIXPOINT
                 assert s.store == [(16, 16), (10, 10), (160, 160)]
-                assert s.n_pending == 0
+                assert not any(s.pending)
 
     def test_detects_empty_domain(self):
         csp = parse("""
@@ -120,7 +121,7 @@ class TestPropagate:
 
     def test_deadline_guard(self):
         # a deadline already past stops the run after its first sweep,
-        # with the pending count written back
+        # short of its fixpoint
         dec = decompose(parse("""
             var u in [1..81]; var v in [1..81];
             constraint 100*u - 10*v = 212;
@@ -130,21 +131,16 @@ class TestPropagate:
         with pytest.raises(DeadlineReached):
             s.propagate()
         assert 0 < s.applications <= len(dec.schedule)
-        assert s.n_pending == sum(s.pending) > 0
+        assert any(s.pending)
 
-    def test_pending_count_matches_the_flags(self):
-        # propagate keeps the count in a local and writes it back on every
-        # way out: a fixpoint, a wipe-out (which clears every flag) and the
-        # step limit
-        def check(s):
-            assert s.n_pending == sum(s.pending)
-            return s.n_pending
-
+    def test_pending_flags_after_each_way_out(self):
+        # a fixpoint and a wipe-out (which clears every flag) leave no flag
+        # set; the step limit stops a run with flags still set
         dec = decompose(triple_csp((1, 20), (9, 11), (155, 161)), "du")
         s = Solver(dec)
         s.flag_all()
         assert s.propagate() == FIXPOINT
-        assert check(s) == 0
+        assert not any(s.pending)
 
         dec = decompose(parse("""
             var x in [1..10]; var y in [1..10]; var z in [1..10];
@@ -153,7 +149,7 @@ class TestPropagate:
         s = Solver(dec)
         s.flag_all()
         assert s.propagate() != FIXPOINT
-        assert check(s) == 0
+        assert not any(s.pending)
 
         dec = decompose(parse("""
             var u in [1..81]; var v in [1..81];
@@ -163,7 +159,72 @@ class TestPropagate:
         s.flag_all()
         with pytest.raises(PropagationLimit):
             s.propagate()
-        assert check(s) > 0
+        assert any(s.pending)
+
+    def test_step_limit_applies_to_one_run(self):
+        # the root run applies 9 rules and the run after a change 2 more:
+        # a budget of 9 covers each run, though not the 11 of both
+        dec = decompose(triple_csp((1, 20), (9, 11), (155, 161)), "du")
+        s = Solver(dec, step_limit=9)
+        s.flag_all()
+        assert s.propagate() == FIXPOINT
+        assert s.applications == 9
+        assert s.propagate([0]) == FIXPOINT
+        assert s.applications == 11
+
+    def test_a_reflagged_rule_is_applied_once(self):
+        # a rule flagged several times before it runs is applied once.
+        # Two writes of one sweep: rules 0 and 1 each fix one variable, and
+        # rule 2 reads both
+        class Fix:
+            def __init__(self, var):
+                self.var = var
+
+            def apply(self, store, ctr, snaps):
+                if store[self.var] == (1, 1):
+                    return UNCHANGED
+                store[self.var] = (1, 1)
+                return self.var
+
+        class Idle:
+            calls = 0
+
+            def apply(self, store, ctr, snaps):
+                self.calls += 1
+                return UNCHANGED
+
+        idle = Idle()
+        dec = SimpleNamespace(rules=[Fix(0), Fix(1), idle],
+                              readers=[[2], [2]], domains=[(0, 1), (0, 1)],
+                              schedule=[0, 1, 2])
+        for mode in ("cycle", "scheduled"):
+            idle.calls = 0
+            s = Solver(dec, mode=mode)
+            s.flag_all()
+            assert s.propagate() == FIXPOINT
+            assert s.store == [(1, 1), (1, 1)]
+            assert (s.applications, s.effective, idle.calls) == (3, 2, 1)
+
+        # an idle run at a fixpoint, seeded with one variable twice or
+        # after two note_change calls of it, applies each reader once
+        dec = decompose(parse("""
+            var x in [1..10]; var y in [1..10]; var z in [1..10];
+            constraint x*y + y*z <= 60;
+            constraint x + y + z >= 4;
+        """), "du")
+        for mode in ("cycle", "scheduled"):
+            s = Solver(dec, mode=mode)
+            s.flag_all()
+            assert s.propagate() == FIXPOINT
+            for v in range(len(dec.domains)):
+                n = len(dec.readers[v])
+                before = s.applications
+                assert s.propagate([v, v]) == FIXPOINT
+                assert s.applications - before == n
+                s.note_change(v)
+                s.note_change(v)
+                assert s.propagate([v]) == FIXPOINT
+                assert s.applications - before == 2 * n
 
     def test_counters_accumulate_across_runs(self):
         dec = decompose(triple_csp((1, 20), (9, 11), (155, 161)), "du")
@@ -190,6 +251,6 @@ class TestPropagate:
         assert type(s.pending) is list, why
         flags = s.pending
         assert s.propagate() != FIXPOINT
-        # the wipe-out left flags to clear, so it built new ones
+        # a wipe-out always builds new flags
         assert s.pending is not flags
         assert type(s.pending) is list, why
