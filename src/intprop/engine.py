@@ -14,19 +14,20 @@ their fixpoint with far fewer applications.  Both orders end in the same
 store: the rules are contracting and monotone, so the greatest common
 fixpoint is unique.
 
-The loop is the solver's hottest path, so it does little per application:
-it calls each rule through a list of bound ``apply`` methods that
-:class:`Solver` builds once.  Since the list is built in ``__init__``, a
-solver calls whatever ``apply`` a rule class has when the solver is
-built.  The pending flags are the loop's only pending state: a sweep
-repeats while any flag is set, and ``any`` scans them in C once per
-sweep, while the sweep itself visits every schedule position in Python.
-They are a ``list`` of 0/1 ints, not a ``bytearray``: CPython 3.11+
-specializes a subscript of a list by an int, and the loop reads or
-writes a flag at every schedule position it visits and for every reader
-it flags.  The step budget and the deadline apply to one run of
-:meth:`Solver.propagate`; both are checked once per sweep, so a run stops
-at most one sweep after either.
+The loop is the solver's hottest path, so it does little per
+application: it calls each rule through the list ``_applies`` that
+:class:`Solver` builds once, in ``__init__``.  An entry is the rule's
+generated kernel (:mod:`~intprop.kernels`) when one serves its shape,
+bound to the rule's constants, and its bound ``apply`` otherwise.  The
+pending flags are the loop's only pending state: a sweep repeats while
+any flag is set, and ``any`` scans them in C once per sweep, while the
+sweep itself visits every schedule position in Python.  They are a
+``list`` of 0/1 ints, not a ``bytearray``: CPython 3.11+ specializes a
+subscript of a list by an int, and the loop reads or writes a flag at
+every schedule position it visits and for every reader it flags.  The
+step budget and the deadline apply to one run of
+:meth:`Solver.propagate`; both are checked once per sweep, so a run
+stops at most one sweep after either.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from time import perf_counter
 from typing import Iterable, Optional
 
 from .intervals import OpCounters
+from .kernels import BINDERS
 
 FIXPOINT = -1
 
@@ -66,6 +68,16 @@ class Solver:
     ``deadline``, a :func:`time.perf_counter` value or ``None``, makes
     :meth:`propagate` raise :class:`DeadlineReached` after the first sweep
     that ends at or past it.
+
+    ``_applies`` holds, for each rule, what :meth:`propagate` calls: a
+    generated kernel or the rule's bound ``apply``.  ``__init__`` looks
+    each rule's class ``apply`` up in ``kernels.BINDERS``, which is keyed
+    by the original ``apply`` functions, so a class whose ``apply`` has
+    been replaced when the solver is built keeps the replacement (a tracer
+    that patches ``apply`` sees every application).  The shapes' kernels
+    are compiled once per process and shared by every solver; a shape
+    compiled twice, as threads may, gives an equal kernel, so what a
+    solver computes and counts does not depend on the cache.
     """
 
     def __init__(self, decomposed, mode: str = "scheduled",
@@ -74,7 +86,9 @@ class Solver:
         if mode not in ("scheduled", "cycle"):
             raise ValueError("mode must be 'scheduled' or 'cycle'")
         self.rules = decomposed.rules
-        self._applies = [r.apply for r in self.rules]
+        get = BINDERS.get
+        self._applies = [r.apply if (bind := get(type(r).apply)) is None
+                         else bind(r) for r in self.rules]
         self.readers = decomposed.readers
         self.store = list(decomposed.domains)
         self.order = (decomposed.schedule if mode == "scheduled"

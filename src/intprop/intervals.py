@@ -27,9 +27,10 @@ corners that bound the result, so a product takes two multiplications
 denominator two floor divisions.  The tables read an infinite (``None``)
 bound as the infinity its position implies, so each kernel has one path,
 in integers only.  :func:`exp` and :func:`root` split on sign in the same
-way.  These tables are written only here: ``rules.MultRule`` and
-``rules.eval_monomial`` inline the finite non-negative row alone and call
-these kernels for every other case.
+way.  These tables are written only here: the generated ``MultRule``
+kernels (``intprop.kernels``) and ``rules.eval_monomial`` inline the
+finite non-negative row alone and call these kernels for every other
+case.
 
 Every arithmetic operation takes an :class:`OpCounters` sink and bumps
 exactly one category, also for an empty operand; the lattice operations

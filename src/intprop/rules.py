@@ -39,28 +39,24 @@ intersects the written domain with a result, or with the parts of its
 ``n``-th root (``PolyRule`` and ``RootXRule``), and reports a domain
 unchanged when both bounds it keeps are the domain's own objects;
 :func:`_exclude` trims a forbidden value off a bound (both bound-trimming
-disequality rules); and :func:`_unbounded_residue` sums a linear residue
-in interval arithmetic when a bound is infinite (both linear rules).
-``_narrow`` and ``_exclude`` take the variable to narrow rather than the
-rule: the interpreter cannot specialize an attribute load in code that
-rules of many classes share.
+disequality rules); and :func:`_residue` sums a linear residue in interval
+arithmetic (both linear rules).  ``_narrow`` and ``_exclude`` take the
+variable to narrow rather than the rule: the interpreter cannot specialize
+an attribute load in code that rules of many classes share.
 
-The linear rules and ``MultRule``, the most frequent rules of a full
-decomposition, are the exceptions.  With every bound finite,
-``LinearEqRule`` divides its residue by ``a_j`` and narrows in place, and
-``LinearIneqRule`` divides its half-line before it calls ``_narrow``.
-Both count the operations ``intervals.div_scalar`` would: ``a_j = ±1`` as
-``multF``, any other as ``div``.  With every bound of both operands
-finite and non-negative, ``MultRule`` multiplies by the non-negative row
-of ``intervals.mult``'s sign-class table, or, under weak division and
-with a positive denominator, divides by the non-negative row of
-``intervals.div_weak``'s zero-free endpoint table, and narrows in place;
-it counts one ``multI`` or one ``div``, as those kernels do.  It calls
-its kernel and ``_narrow`` on any other store.  ``_narrow`` stays the
-narrowing routine of every other rule.  :func:`eval_monomial` likewise
+The ``apply`` of the linear rules and of ``MultRule``, the most frequent
+rules of a full decomposition, is the generic reference and reads as the
+paper's proof rules do: the residue by :func:`_residue` divided by
+``intervals.div_scalar``, or the rule's ``intervals`` kernel, then
+``_narrow``.  :mod:`~intprop.kernels` generates one specialized copy per
+shape of rule, which computes in integers, counts by constants and returns
+the generic ``apply`` on an infinite bound; ``engine.Solver`` applies the
+copies.  Two hand-fused paths remain.  A rule of a long equality takes its
+residue from the shared snapshot, then divides and narrows in place,
+counting what ``intervals.div_scalar`` would.  :func:`eval_monomial`
 inlines only the non-negative rows of ``intervals.exp`` and
-``intervals.mult``, for factors that are finite and non-negative.  These
-rows are the only ones the benchmark workloads reach; every other sign
+``intervals.mult``, for factors that are finite and non-negative; these
+rows are the only ones the benchmark workloads reach, and every other sign
 class has its one implementation in :mod:`~intprop.intervals`.
 
 Updates always intersect with the current domain, so every rule is a
@@ -211,25 +207,28 @@ class LinearEqRule(Rule):
 
     def __init__(self, coeffs: Sequence[Tuple[int, int]], b: int, j: int,
                  shared: operator.itemgetter = None):
-        self.others = tuple(av for i, av in enumerate(coeffs) if i != j)
+        coeffs = tuple(coeffs)
+        self.others = coeffs[:j] + coeffs[j + 1:]
         self.aj, self.writes = coeffs[j]
         self.b = b
-        self.reads = tuple(v for _, v in self.others)
+        self.reads = tuple([v for _, v in self.others])
         self.shared = shared
 
     def apply(self, store, ctr, snaps):
         aj = self.aj
         w = self.writes
         shared = self.shared
-        # the per-rule sum, unless the snapshot is for this store's domains
-        # (a constraint with none yet compares as a miss)
-        if (shared is None
-                or (snap := snaps.get(shared, (None,)))[0] != (
-                    domains := shared(store))):
-            others = self.others
+        if shared is None:
+            return _narrow(store, w, iv.div_scalar(_residue(self, store, ctr),
+                                                   aj, ctr))
+        # the residue from the snapshot, if it is for this store's domains
+        # (a constraint with none yet compares as a miss), or summed
+        snap = snaps.get(shared, (None,))
+        domains = shared(store)
+        if snap[0] != domains:
             try:
                 lo = hi = self.b
-                for a, v in others:
+                for a, v in self.others:
                     d0, d1 = store[v]
                     if a > 0:
                         lo -= d1 * a
@@ -239,13 +238,10 @@ class LinearEqRule(Rule):
                         hi -= d1 * a
             except TypeError:
                 return _narrow(store, w, iv.div_scalar(
-                    _unbounded_residue(self, store, ctr), aj, ctr))
-            n = len(others)
-            if shared is not None:
-                # a miss: the residue is published below
-                snap = None
-                rlo = lo
-                rhi = hi
+                    _residue(self, store, ctr), aj, ctr))
+            # a miss: the residue is published below
+            n = len(self.others)
+            snap = None
         else:
             # the total b - sum of every term, once per snapshot: the
             # snapshot's residue minus its term a_j*x_j
@@ -271,8 +267,8 @@ class LinearEqRule(Rule):
             else:
                 lo = tlo + d0 * aj
                 hi = thi + d1 * aj
-            rlo = lo
-            rhi = hi
+        rlo = lo
+        rhi = hi
         # n terms scaled and added; iv.div_scalar and _narrow inline, with
         # the same op counts
         ctr.sum += n
@@ -295,7 +291,7 @@ class LinearEqRule(Rule):
         if d1 is not None and d1 <= hi:
             hi = d1
         if lo is d0 and hi is d1:
-            if shared is not None and snap is None:
+            if snap is None:
                 # every bound is finite: the other terms summed, and the
                 # written domain kept both of its own
                 snaps[shared] = [domains, aj, w, rlo, rhi, None, None]
@@ -304,9 +300,8 @@ class LinearEqRule(Rule):
             store[w] = None
             return w
         store[w] = (lo, hi)
-        if shared is not None:
-            # the residue does not read x_j, so it holds after the write
-            snaps[shared] = [shared(store), aj, w, rlo, rhi, None, None]
+        # the residue does not read x_j, so it holds after the write
+        snaps[shared] = [shared(store), aj, w, rlo, rhi, None, None]
         return w
 
 
@@ -318,35 +313,14 @@ class LinearIneqRule(LinearEqRule):
     variant = "LinearIneq"
 
     def apply(self, store, ctr, snaps):
-        others = self.others
-        aj = self.aj
-        try:
-            # only the upper end of the residue matters for <=
-            hi = self.b
-            for a, v in others:
-                d = store[v]
-                hi -= (d[0] if a > 0 else d[1]) * a
-        except TypeError:
-            return _narrow(store, self.writes, iv.div_scalar(
-                (None, _unbounded_residue(self, store, ctr)[1]), aj, ctr))
-        # iv.div_scalar inline, with the same op counts
-        n = len(others)
-        ctr.sum += n
-        if aj == 1 or aj == -1:
-            ctr.multF += n + 1
-        else:
-            ctr.multF += n
-            ctr.div += 1
-        if aj > 0:
-            q = (None, hi if aj == 1 else hi // aj)
-        else:
-            q = (-hi if aj == -1 else -((-hi) // aj), None)
-        return _narrow(store, self.writes, q)
+        # only the upper end of the residue matters for <=
+        return _narrow(store, self.writes, iv.div_scalar(
+            (None, _residue(self, store, ctr)[1]), self.aj, ctr))
 
 
-def _unbounded_residue(rule, store, ctr):
+def _residue(rule, store, ctr):
     """``b`` minus the other terms of a linear rule, in interval
-    arithmetic, for stores where one of them has an infinite bound."""
+    arithmetic."""
     acc = (rule.b, rule.b)
     for a, v in rule.others:
         acc = iv.sub(acc, iv.scale(store[v], a, ctr), ctr)
@@ -551,7 +525,7 @@ class PolyRule(Rule):
         c, pp = mons[l]
         self.n_p = dict(pp)[vj]
         self.s_coeff = c
-        self.s_pp = tuple((v, e) for v, e in pp if v != vj)
+        self.s_pp = tuple([(v, e) for v, e in pp if v != vj])
         self.op = constraint.op
         self.divfn = iv.div_weak if division == "weak" else iv.div
         self.writes = vj
@@ -561,8 +535,8 @@ class PolyRule(Rule):
         counts = shared.counts
         self.reads = shared.vars
         if counts[vj] == 1 and self.n_p % 2 == 1:
-            self.reads = tuple(v for v in self.reads if v != vj)
-        self.s_vars = tuple(v for v, _ in self.s_pp)
+            self.reads = tuple([v for v in self.reads if v != vj])
+        self.s_vars = tuple([v for v, _ in self.s_pp])
         # a divisor variable that another monomial shares
         self.optimized = optimized and any(counts[v] > 1
                                            for v in self.s_vars)
@@ -618,24 +592,13 @@ class MultRule(Rule):
     """One of the three reduction directions of `x*y = z`: kind 1 bounds z
     by ``x*y``, kind 2 x by ``z/y``, kind 3 y by ``z/x``.  The kernel
     ``fn`` and its operands ``a``, ``b`` are fixed when the rule is built.
-
-    With every bound of both operands finite and both lower bounds
-    non-negative, kind 1 takes the non-negative row of
-    :func:`~intprop.intervals.mult`'s sign-class table and counts one
-    ``multI``; under weak division with a positive denominator, kinds 2
-    and 3 take the non-negative row of the zero-free endpoint table and
-    count one ``div``, as :func:`~intprop.intervals.div_weak` does.  Both
-    narrow the written domain in place.  Any other store (an infinite
-    bound, a negative lower bound, a denominator holding 0, strong
-    division) goes through ``fn`` and :func:`_narrow`.
     """
 
-    __slots__ = ("kind", "fn", "a", "b", "weak")
+    __slots__ = ("kind", "fn", "a", "b")
 
     def __init__(self, kind: int, x: int, y: int, z: int,
                  division: str = "weak"):
         self.kind = kind
-        self.weak = division == "weak"
         if kind == 1:
             self.fn, self.a, self.b, self.writes = iv.mult, x, y, z
             self.reads = (x, y)
@@ -650,35 +613,8 @@ class MultRule(Rule):
         return "Mult%d%s" % (self.kind, w)
 
     def apply(self, store, ctr, snaps):
-        da = store[self.a]
-        db = store[self.b]
-        a0, a1 = da
-        b0, b1 = db
-        # the non-negative rows of iv.mult and iv._endpoint_div inline, for
-        # finite bounds only, with the same op counts; an infinite (None)
-        # bound raises TypeError before any count and goes to the kernel,
-        # whose table reads it
-        try:
-            if self.kind == 1 and a0 >= 0 and b0 >= 0:
-                lo, hi = a0 * b0, a1 * b1
-                ctr.multI += 1
-            elif self.kind != 1 and self.weak and a0 >= 0 and b0 > 0:
-                lo, hi = -((-a0) // b1), a1 // b0
-                ctr.div += 1
-            else:
-                return _narrow(store, self.writes, self.fn(da, db, ctr))
-        except TypeError:
-            return _narrow(store, self.writes, self.fn(da, db, ctr))
-        w = self.writes
-        d0, d1 = store[w]
-        if d0 is not None and d0 >= lo:
-            lo = d0
-        if d1 is not None and d1 <= hi:
-            hi = d1
-        if lo is d0 and hi is d1:
-            return UNCHANGED
-        store[w] = None if lo > hi else (lo, hi)
-        return w
+        return _narrow(store, self.writes,
+                       self.fn(store[self.a], store[self.b], ctr))
 
 
 class ExpoRule(Rule):
@@ -840,7 +776,7 @@ def build_rules(constraints, division: str = "weak",
             rules.extend(_diseq_rules(c))
             continue
         if c.is_linear():
-            coeffs = [(cf, pp[0][0]) for cf, pp in c.monomials]
+            coeffs = tuple([(cf, pp[0][0]) for cf, pp in c.monomials])
             cls = LinearEqRule if c.op == "eq" else LinearIneqRule
             shared = (operator.itemgetter(*(v for _, v in coeffs))
                       if c.op == "eq" and len(coeffs) >= LONG_SUM else None)

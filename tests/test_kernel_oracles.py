@@ -13,21 +13,25 @@ with the same operation counts.  ``rules.eval_monomial``, which inlines
 only the non-negative rows of ``exp`` and ``mult``, must also give the
 same operation counts.
 
-The linear rules divide their residue and narrow in place when every
-bound is finite, ``MultRule`` when every bound is finite and
-non-negative, and ``rules._narrow`` intersects inline; their oracle is
-the generic path, the kernel and then an intersection.  The rules of a
-long linear equality take their residue from a snapshot they share; their
-oracle is the per-rule sum, the same rule built without one.
+The kernels that ``intprop.kernels`` generates for the linear rules and
+``MultRule`` must give what the rule's generic ``apply`` gives: the same
+result, store and op counts, on every shape the generator emits.  The
+generic linear ``apply`` is checked in turn against the residue in
+interval arithmetic, ``div_scalar`` and an intersection; the generic
+``MultRule.apply`` is the rule's function ``fn`` and ``rules._narrow``.
+The rules of a long linear equality take their residue from a snapshot
+they share; their oracle is the per-rule sum, the same rule built without
+one.
 """
 
+import itertools
 import math
 import operator
 import random
 
 import pytest
 
-from intprop import intervals, rules
+from intprop import intervals, kernels, rules
 from intprop.intervals import OpCounters, div, div_weak, mult
 
 _INF = math.inf
@@ -422,11 +426,17 @@ LINEAR_GRIDS = ((0, GRID_IVS), (10 ** 20, SMALL_IVS))
 GRID_IDS = ("grid", "big")
 
 
+def bind(rule):
+    # the rule's kernel, or its bound apply when it has no generated shape
+    return kernels.BINDERS[type(rule).apply](rule)
+
+
 class TestLinearRules:
     @pytest.mark.parametrize("offset, ivs", LINEAR_GRIDS, ids=GRID_IDS)
     @pytest.mark.parametrize("cls", (rules.LinearEqRule,
                                      rules.LinearIneqRule))
     def test_every_domain_pair(self, cls, offset, ivs):
+        # the generic apply and the rule's kernel
         doms = [d for d in shifted(ivs, offset) if d is not None]
         outcomes = set()
         for aj in (-3, -2, -1, 1, 2, 3):
@@ -435,14 +445,18 @@ class TestLinearRules:
                 rule = cls([(aj, 0), (a, 1)], b + (aj + a) * offset, 0)
                 for dx in doms:
                     for dy in doms:
-                        got_ctr, want_ctr = OpCounters(), OpCounters()
-                        got_store, want_store = [dx, dy], [dx, dy]
-                        got = rule.apply(got_store, got_ctr, {})
+                        want_ctr = OpCounters()
+                        want_store = [dx, dy]
                         want = linear_oracle(rule, want_store, want_ctr)
-                        case = (aj, a, b, dx, dy)
-                        assert got == want, case
-                        assert got_store == want_store, case
-                        assert got_ctr.as_dict() == want_ctr.as_dict(), case
+                        for apply in (rule.apply, bind(rule)):
+                            got_ctr = OpCounters()
+                            got_store = [dx, dy]
+                            got = apply(got_store, got_ctr, {})
+                            case = (apply, aj, a, b, dx, dy)
+                            assert got == want, case
+                            assert got_store == want_store, case
+                            assert (got_ctr.as_dict()
+                                    == want_ctr.as_dict()), case
                         outcomes.add("unchanged" if want < 0 else
                                      "emptied" if want_store[0] is None
                                      else "narrowed")
@@ -590,9 +604,9 @@ MULT_RULES = ((1, 0, 1, 2), (2, 0, 1, 2), (3, 0, 1, 2), (2, 0, 0, 2))
 
 
 class TestMultRules:
-    """``MultRule.apply`` multiplies or divides and narrows in place on
-    finite non-negative stores; its oracle is the kernel ``fn`` and
-    ``_narrow``."""
+    """A ``MultRule``'s kernel multiplies or divides and narrows in place
+    on finite non-negative stores, and calls the generic ``apply`` on any
+    other; its oracle is the rule's function ``fn`` and ``_narrow``."""
 
     @pytest.mark.parametrize("offset, ivs", LINEAR_GRIDS, ids=GRID_IDS)
     @pytest.mark.parametrize("division", ("weak", "strong"))
@@ -600,6 +614,7 @@ class TestMultRules:
                              ids=("mult", "div_y", "div_x", "square"))
     def test_every_domain_pair(self, kind, x, y, z, division, offset, ivs):
         rule = rules.MultRule(kind, x, y, z, division)
+        kernel = bind(rule)
         fn = rule.fn
         spied = []
 
@@ -624,17 +639,17 @@ class TestMultRules:
                     want_store = list(store)
                     got_ctr, want_ctr = OpCounters(), OpCounters()
                     del spied[:]
-                    got = rule.apply(store, got_ctr, {})
+                    got = kernel(store, got_ctr, {})
                     want = mult_oracle_rule(rule, fn, want_store, want_ctr)
                     case = (da, db, dw)
                     assert got == want, case
                     assert store == want_store, case
                     assert got_ctr.as_dict() == want_ctr.as_dict(), case
-                    # the kernel is skipped exactly on the inlined row:
-                    # every bound finite and both operands non-negative,
-                    # and for a quotient weak division by a positive
-                    # denominator; it is called on every other store
-                    inlined = (None not in da + db and da[0] >= 0
+                    # the generic apply is skipped exactly on the kernel's
+                    # row: every bound finite and both operands
+                    # non-negative, and for a quotient weak division by a
+                    # positive denominator; it runs on every other store
+                    inlined = (None not in da + db + dw and da[0] >= 0
                                and (db[0] >= 0 if kind == 1 else
                                     division == "weak" and db[0] > 0))
                     assert bool(spied) != inlined, case
@@ -642,3 +657,139 @@ class TestMultRules:
                                  "emptied" if store[want] is None
                                  else "narrowed")
         assert outcomes == {"unchanged", "emptied", "narrowed"}
+
+
+# every shape the generator emits: (family, signs of the other
+# coefficients, class of a_j), and the two MultRule rows
+AJ_CLASSES = {"one": (1,), "minus_one": (-1,), "pos": (2, 3),
+              "neg": (-2, -3)}
+LINEAR_SHAPES = [(family, "".join(signs), cls)
+                 for family in ("LinearEq", "LinearIneq")
+                 for n in range(kernels.MAX_OTHERS + 1)
+                 for signs in itertools.product("pn", repeat=n)
+                 for cls in AJ_CLASSES]
+MULT_SHAPES = [("Mult", "1"), ("Mult", "23w")]
+
+
+def linear_rule(rng, shape, offset):
+    # a_j*x_0 + sum a_i*x_i against b, near a point shifted by the offset;
+    # x_0 is written
+    family, signs, cls = shape
+    coeffs = [(rng.choice(AJ_CLASSES[cls]), 0)]
+    coeffs += [(rng.choice((1, 1, 2, 3)) * (1 if s == "p" else -1), i + 1)
+               for i, s in enumerate(signs)]
+    b = sum(a * (rng.randint(-2, 2) + offset) for a, _ in coeffs)
+    b += rng.choice((0, 0, 1, -1, rng.randint(-6, 6)))
+    cls = rules.LinearEqRule if family == "LinearEq" else rules.LinearIneqRule
+    return cls(coeffs, b, 0)
+
+
+class TestGeneratedKernels:
+    """Every generated kernel against its rule's generic ``apply``, which
+    the oracles above check in turn: the same result, store and op counts,
+    on the grid of bounds in [-6..6] or infinite, at offset 10**20, and on
+    random big integers.  On a store whose bounds are all finite, a linear
+    kernel never falls back to the generic ``apply``."""
+
+    @staticmethod
+    def check(rule, kernel, store, spied):
+        want_store = list(store)
+        got_ctr, want_ctr = OpCounters(), OpCounters()
+        want = rule.apply(want_store, want_ctr, {})
+        del spied[:]
+        got = kernel(store, got_ctr, {})
+        case = (rule, getattr(rule, "others", None), getattr(rule, "b", None),
+                want_store)
+        assert got == want, case
+        assert store == want_store, case
+        assert got_ctr.as_dict() == want_ctr.as_dict(), case
+        return ("unchanged" if want < 0 else
+                "emptied" if store[want] is None else "narrowed")
+
+    @staticmethod
+    def spy_residue(monkeypatch):
+        # the generic linear apply sums its residue with rules._residue
+        spied = []
+        residue = rules._residue
+
+        def spy(rule, store, ctr):
+            spied.append(True)
+            return residue(rule, store, ctr)
+
+        monkeypatch.setattr(rules, "_residue", spy)
+        return spied
+
+    @staticmethod
+    def kernel(rule, shape):
+        kernel = bind(rule)
+        assert kernel.__func__ is kernels._KERNELS[shape], shape
+        assert kernel.__name__ == "_".join(shape)
+        return kernel
+
+    @pytest.mark.parametrize("offset, ivs", LINEAR_GRIDS, ids=GRID_IDS)
+    def test_every_linear_shape(self, monkeypatch, offset, ivs):
+        assert len(LINEAR_SHAPES) == 248
+        rng = random.Random(26 + offset)
+        doms = [d for d in shifted(ivs, offset) if d is not None]
+        finite = [d for d in doms if None not in d]
+        spied = self.spy_residue(monkeypatch)
+        outcomes = {"LinearEq": set(), "LinearIneq": set()}
+        gave_up = 0
+        for shape in LINEAR_SHAPES:
+            rule = linear_rule(rng, shape, offset)
+            kernel = self.kernel(rule, shape)
+            k = len(shape[1]) + 1
+            for i in range(120):
+                # one store in four has a domain with an infinite bound
+                store = [rng.choice(doms if i % 4 == 0 else finite)
+                         for _ in range(k)]
+                outcomes[shape[0]].add(self.check(rule, kernel, store,
+                                                  spied))
+                assert not spied or i % 4 == 0, (shape, store)
+                gave_up += bool(spied)
+        assert all(o == {"unchanged", "emptied", "narrowed"}
+                   for o in outcomes.values())
+        assert gave_up > 1000
+
+    def test_random_big_integers(self, monkeypatch):
+        rng = random.Random(2026)
+        spied = self.spy_residue(monkeypatch)
+        for shape in LINEAR_SHAPES:
+            rule = linear_rule(rng, shape, rng.randint(-10 ** 30, 10 ** 30))
+            kernel = self.kernel(rule, shape)
+            for _ in range(40):
+                store = [big_interval(rng) for _ in range(len(shape[1]) + 1)]
+                infinite = any(None in d for d in store)
+                self.check(rule, kernel, store, spied)
+                assert not spied or infinite, store
+        outcomes = set()
+        for kind, x, y, z in MULT_RULES:
+            rule = rules.MultRule(kind, x, y, z, "weak")
+            kernel = self.kernel(rule, MULT_SHAPES[kind != 1])
+            for _ in range(3000):
+                store = [big_interval(rng) for _ in range(3)]
+                if rng.random() < 0.8:
+                    # mostly the kernel's row: finite, non-negative operands
+                    for v in (rule.a, rule.b):
+                        lo = rng.randint(0, 10 ** rng.randint(0, 30))
+                        store[v] = (lo, lo + rng.randint(0, 10 ** 30))
+                outcomes.add(self.check(rule, kernel, store, []))
+        assert outcomes == {"unchanged", "emptied", "narrowed"}
+
+    def test_the_generator_emits_these_shapes(self):
+        # every shape above binds to a kernel named after it; the rules no
+        # kernel serves keep their generic apply
+        for shape in LINEAR_SHAPES:
+            self.kernel(linear_rule(random.Random(0), shape, 0), shape)
+        for kind, x, y, z in MULT_RULES:
+            self.kernel(rules.MultRule(kind, x, y, z, "weak"),
+                        MULT_SHAPES[kind != 1])
+        assert set(kernels._KERNELS) == set(LINEAR_SHAPES + MULT_SHAPES)
+        generic = [rules.LinearEqRule([(1, v) for v in range(7)], 3, 0,
+                                      operator.itemgetter(*range(7))),
+                   rules.LinearIneqRule([(1, v) for v in range(6)], 3, 0),
+                   rules.LinearEqRule([(0, 0), (1, 1)], 3, 0),
+                   rules.MultRule(2, 0, 1, 2, "strong"),
+                   rules.MultRule(3, 0, 1, 2, "strong")]
+        for rule in generic:
+            assert bind(rule) == rule.apply, rule
