@@ -8,13 +8,15 @@ Examples::
     intprop --problem opt --variant du --print-solutions
 
 Exit status: 0 on success, also when ``--max-nodes`` or ``--time-limit``
-truncated a search (a warning goes to stderr); 1 when a complete search
-proves that the problem to maximize has no solution (its statistics are
-still printed); 2 on usage or input errors: bad options, an unreadable,
-malformed or oversized problem, a variable that stays unbounded, or a
-propagation that exceeds its step limit; 2 also when the output cannot be
-written (no stdout, a closed pipe or a full device).  Every exit 2 but
-that of a bad option prints one line on stderr, when stderr can take it.
+truncated a search (a warning goes to stderr; it names the limit that
+the search recorded in ``stats.stopped``, opening with ``time limit
+reached:`` for the time limit); 1 when a complete search proves that the
+problem to maximize has no solution (its statistics are still printed);
+2 on usage or input errors: bad options, an unreadable, malformed or
+oversized problem, a variable that stays unbounded, or a propagation that
+exceeds its step limit; 2 also when the output cannot be written (no
+stdout, a closed pipe or a full device).  Every exit 2 but that of a bad
+option prints one line on stderr, when stderr can take it.
 """
 
 from __future__ import annotations
@@ -189,10 +191,9 @@ def _main(argv: Optional[List[str]]) -> int:
             infeasible = True
             stats, extra = e.stats, {"objective": None, "incumbents": []}
         if not stats.complete:
-            timed_out = args.max_nodes is None or stats.nodes < args.max_nodes
             print("warning: %ssearch truncated at %d nodes (incomplete)"
-                  % ("time limit reached: " if timed_out else "",
-                     stats.nodes), file=sys.stderr)
+                  % ("time limit reached: " if stats.stopped == "time"
+                     else "", stats.nodes), file=sys.stderr)
         reports.append(_report(stats, extra))
 
     if args.stats == "json":

@@ -25,9 +25,9 @@ sweep itself visits every schedule position in Python.  They are a
 ``list`` of 0/1 ints, not a ``bytearray``: CPython 3.11+ specializes a
 subscript of a list by an int, and the loop reads or writes a flag at
 every schedule position it visits and for every reader it flags.  The
-step budget and the deadline apply to one run of
-:meth:`Solver.propagate`; both are checked once per sweep, so a run
-stops at most one sweep after either.
+step budget :data:`STEP_LIMIT` and the deadline apply to each run of
+:meth:`Solver.propagate` on its own; both are checked once per sweep, so
+a run stops at most one sweep after either.
 """
 
 from __future__ import annotations
@@ -40,18 +40,22 @@ from .kernels import BINDERS
 
 FIXPOINT = -1
 
-DEFAULT_STEP_LIMIT = 10 ** 8
+# the most rule applications one run of Solver.propagate may make; read
+# at the start of each run
+STEP_LIMIT = 10 ** 8
 
 
 class PropagationLimit(RuntimeError):
-    """Raised when one propagation run applies more rules than the
-    solver's ``step_limit``; applications of earlier runs do not count."""
+    """Raised when one propagation run applies more than
+    :data:`STEP_LIMIT` rules; applications of earlier runs do not
+    count."""
 
 
 class DeadlineReached(Exception):
     """Raised when a propagation run is still going at the solver's
     deadline; the store is left between two sweeps, short of a
-    fixpoint."""
+    fixpoint.  The search raises it too, for a deadline met between two
+    nodes."""
 
 
 class Solver:
@@ -81,7 +85,6 @@ class Solver:
     """
 
     def __init__(self, decomposed, mode: str = "scheduled",
-                 step_limit: int = DEFAULT_STEP_LIMIT,
                  deadline: Optional[float] = None):
         if mode not in ("scheduled", "cycle"):
             raise ValueError("mode must be 'scheduled' or 'cycle'")
@@ -95,7 +98,6 @@ class Solver:
                       else range(len(self.rules)))
         self.counters = OpCounters()
         self.snaps = {}
-        self.step_limit = step_limit
         self.deadline = deadline
         self.applications = 0
         self.effective = 0
@@ -118,7 +120,7 @@ class Solver:
         current flags (use :meth:`flag_all` for an initial run).  A
         wipe-out clears every pending flag, as a fixpoint does.  The run
         raises :class:`PropagationLimit` once it has applied more than
-        ``step_limit`` rules, counted from its start, and
+        :data:`STEP_LIMIT` rules, counted from its start, and
         :class:`DeadlineReached` after a sweep that ends at or past the
         deadline.
         """
@@ -133,7 +135,7 @@ class Solver:
         pending = self.pending
         apps = self.applications
         eff = self.effective
-        limit = apps + self.step_limit
+        limit = apps + STEP_LIMIT
         deadline = self.deadline
         try:
             while any(pending):
@@ -152,7 +154,7 @@ class Solver:
                                 pending[r] = 1
                 if apps > limit:
                     raise PropagationLimit(
-                        "more than %d rule applications" % self.step_limit)
+                        "more than %d rule applications" % STEP_LIMIT)
                 if deadline is not None and perf_counter() >= deadline:
                     raise DeadlineReached()
             return FIXPOINT

@@ -29,19 +29,24 @@ the objective variable, the last user variable: propagation fixes it
 once the others are fixed.
 
 ``max_nodes`` truncates a search: it stops before the node that would
-exceed the budget, ``stats.complete`` is false, and both entry points
-return what was found so far (for :func:`maximize`, the last incumbent, or
-none).  ``time_limit`` (seconds, counted from the start of the search,
-root propagation included) truncates it in the same way, before the first
-node popped after the limit or at the end of the first propagation sweep
-past it; the clock is read only when a limit is set.  Only a complete
+exceed the budget, and both entry points return what was found so far
+(for :func:`maximize`, the last incumbent, or none).  ``time_limit``
+(seconds, counted from the start of the search, root propagation
+included) truncates it in the same way, before the first node popped
+after the limit or at the end of the first propagation sweep past it;
+the clock is read only when a limit is set.  The search records which
+limit stopped it in ``stats.stopped``: ``"nodes"`` or ``"time"`` (at a
+pop, the node budget is checked first), or ``"complete"`` when neither
+did; ``stats.complete`` is true only in the last case.  A deadline met
+at a pop raises the :class:`~intprop.engine.DeadlineReached` that
+propagation raises, so one handler records either.  Only a complete
 search can prove that there is no solution.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
 from .decompose import DecomposedCSP, decompose
@@ -73,6 +78,10 @@ class Infeasible(Exception):
 
 @dataclass
 class SearchStats:
+    """What one search did.  ``stopped`` names what ended it:
+    ``"complete"`` (the search tree was exhausted), ``"nodes"`` (the
+    ``max_nodes`` budget) or ``"time"`` (the ``time_limit``)."""
+
     variant: str
     division: str
     mode: str
@@ -83,9 +92,13 @@ class SearchStats:
     drf_applications: int = 0
     drf_effective: int = 0
     counters: OpCounters = field(default_factory=OpCounters)
-    complete: bool = True
+    stopped: str = "complete"
     elapsed: float = 0.0
     incumbents: List[int] = field(default_factory=list)
+
+    @property
+    def complete(self) -> bool:
+        return self.stopped == "complete"
 
     @property
     def percent_effective(self) -> float:
@@ -109,7 +122,7 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
     stats = SearchStats(variant=dec.variant, division=dec.division,
                         mode=mode, nvar=len(dec.names),
                         n_rules=len(dec.rules))
-    t0 = time.perf_counter()
+    t0 = perf_counter()
     deadline = None if time_limit is None else t0 + time_limit
     solver = Solver(dec, mode=mode, deadline=deadline)
     stats.counters = solver.counters
@@ -140,11 +153,11 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
             stack.append((None, 0, None, None))  # the root, propagated
         while stack:
             saved, k, v, half = stack.pop()
-            if ((max_nodes is not None and stats.nodes >= max_nodes)
-                    or (deadline is not None
-                        and time.perf_counter() >= deadline)):
-                stats.complete = False
+            if max_nodes is not None and stats.nodes >= max_nodes:
+                stats.stopped = "nodes"
                 break
+            if deadline is not None and perf_counter() >= deadline:
+                raise DeadlineReached()
             stats.nodes += 1
             if saved is not None:
                 store[:] = saved
@@ -172,10 +185,10 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
             stack.append((saved, k, v, (mid + 1, hi)))
             stack.append((saved, k, v, (lo, mid)))
     except DeadlineReached:
-        stats.complete = False
+        stats.stopped = "time"
     stats.drf_applications = solver.applications
     stats.drf_effective = solver.effective
-    stats.elapsed = time.perf_counter() - t0
+    stats.elapsed = perf_counter() - t0
     return stats
 
 
@@ -191,7 +204,8 @@ def solve_all(csp: CSP, variant: str = "fe", division: str = "weak",
     Each reported assignment is re-checked by exact evaluation of the
     original constraints.  Statistics cover the whole run, root
     propagation included.  ``max_nodes`` and ``time_limit`` (seconds)
-    truncate the search; ``stats.complete`` then is false.
+    truncate the search; ``stats.stopped`` then names the limit, and
+    ``stats.complete`` is false.
     """
     if dec is None:
         dec = decompose(csp, variant, division)

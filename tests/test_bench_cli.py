@@ -10,6 +10,7 @@ import time
 import pytest
 
 import intprop
+from intprop import engine, search
 from intprop.bench import build_benchmark
 from intprop.cli import main
 from intprop.decompose import VARIANTS
@@ -252,6 +253,50 @@ class TestCli:
         assert rep["complete"] is False and rep["nodes"] == 0
         assert err == ("warning: time limit reached: search truncated at "
                        "0 nodes (incomplete)\n")
+
+    # root propagation narrows nothing; node 1 splits x, and node 2,
+    # x in [1..4], narrows y
+    SPLIT = ("var x in [1..8]; var y in [1..8]; constraint x + y = 9;"
+             " solve all;")
+
+    def test_time_limit_met_before_a_zero_node_budget(self, tmp_path,
+                                                       capsys):
+        # root propagation meets the deadline: no node is popped, so the
+        # node budget never stops the search
+        p = tmp_path / "split.csp"
+        p.write_text(self.SPLIT)
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--variant", "du", "--max-nodes", "0",
+                                 "--time-limit", "0")
+        assert code == 0
+        assert err == ("warning: time limit reached: search truncated at "
+                       "0 nodes (incomplete)\n")
+
+    def test_time_limit_met_at_the_last_node(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the search reads its clock at its start and at each pop; the
+        # engine's clock passes the deadline once the search has read its
+        # own three times, so while node 2, the last of the budget,
+        # propagates
+        reads = []
+
+        def search_clock():
+            reads.append(None)
+            return 0.0
+
+        monkeypatch.setattr(search, "perf_counter", search_clock)
+        monkeypatch.setattr(engine, "perf_counter",
+                            lambda: 10.0 if len(reads) >= 3 else 0.0)
+        p = tmp_path / "split.csp"
+        p.write_text(self.SPLIT)
+        code, out, err = run_cli(capsys, "--problem", "file:%s" % p,
+                                 "--variant", "du", "--max-nodes", "2",
+                                 "--time-limit", "5", "--stats", "json")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["nodes"] == 2 and rep["complete"] is False
+        assert err == ("warning: time limit reached: search truncated at "
+                       "2 nodes (incomplete)\n")
 
     def test_negative_time_limit_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:

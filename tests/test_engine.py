@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from intprop import engine
 from intprop.decompose import decompose
 from intprop.engine import (
     FIXPOINT,
@@ -108,13 +109,14 @@ class TestPropagate:
             s.note_change(var)
             assert sorted(i for i in range(5) if s.pending[i]) == flagged
 
-    def test_step_limit_guard(self):
+    def test_step_limit_guard(self, monkeypatch):
         csp = parse("""
             var u in [1..81]; var v in [1..81];
             constraint 100*u - 10*v = 212;
         """)
         dec = decompose(csp, "du")
-        s = Solver(dec, step_limit=3)
+        monkeypatch.setattr(engine, "STEP_LIMIT", 3)
+        s = Solver(dec)
         s.flag_all()
         with pytest.raises(PropagationLimit):
             s.propagate()
@@ -133,7 +135,7 @@ class TestPropagate:
         assert 0 < s.applications <= len(dec.schedule)
         assert any(s.pending)
 
-    def test_pending_flags_after_each_way_out(self):
+    def test_pending_flags_after_each_way_out(self, monkeypatch):
         # a fixpoint and a wipe-out (which clears every flag) leave no flag
         # set; the step limit stops a run with flags still set
         dec = decompose(triple_csp((1, 20), (9, 11), (155, 161)), "du")
@@ -155,17 +157,19 @@ class TestPropagate:
             var u in [1..81]; var v in [1..81];
             constraint 100*u - 10*v = 212;
         """), "du")
-        s = Solver(dec, step_limit=3)
+        monkeypatch.setattr(engine, "STEP_LIMIT", 3)
+        s = Solver(dec)
         s.flag_all()
         with pytest.raises(PropagationLimit):
             s.propagate()
         assert any(s.pending)
 
-    def test_step_limit_applies_to_one_run(self):
+    def test_step_limit_applies_to_one_run(self, monkeypatch):
         # the root run applies 9 rules and the run after a change 2 more:
         # a budget of 9 covers each run, though not the 11 of both
         dec = decompose(triple_csp((1, 20), (9, 11), (155, 161)), "du")
-        s = Solver(dec, step_limit=9)
+        monkeypatch.setattr(engine, "STEP_LIMIT", 9)
+        s = Solver(dec)
         s.flag_all()
         assert s.propagate() == FIXPOINT
         assert s.applications == 9

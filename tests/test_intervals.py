@@ -8,7 +8,6 @@ from intprop.intervals import (
     add,
     ceil_root,
     div,
-    div_halfline,
     div_scalar,
     div_weak,
     exp,
@@ -181,18 +180,18 @@ class TestDiv:
         assert div_scalar((None, 45), 1, OpCounters()) == (None, 45)
 
     def test_div_halfline(self):
-        assert div_halfline((None, 45), iv(1, 100), OpCounters()) == (None, 45)
-        assert div_halfline((None, 45), iv(-2, 3), OpCounters()) == ALL
-        assert (div_halfline((None, -10), iv(-1, -1), OpCounters())
+        assert div_weak((None, 45), iv(1, 100), OpCounters()) == (None, 45)
+        assert div_weak((None, 45), iv(-2, 3), OpCounters()) == ALL
+        assert (div_weak((None, -10), iv(-1, -1), OpCounters())
                 == (10, None))
-        assert div_halfline((None, 43), iv(1, 27), OpCounters()) == (None, 43)
-        assert (div_halfline((None, -10), iv(3, None), OpCounters())
+        assert div_weak((None, 43), iv(1, 27), OpCounters()) == (None, 43)
+        assert (div_weak((None, -10), iv(3, None), OpCounters())
                 == (None, -1))
-        assert div_halfline((5, None), iv(2, 3), OpCounters()) == (2, None)
-        assert div_halfline(ALL, iv(2, 3), OpCounters()) == ALL
-        assert div_halfline((None, -1), iv(0, 0), OpCounters()) is None
+        assert div_weak((5, None), iv(2, 3), OpCounters()) == (2, None)
+        assert div_weak(ALL, iv(2, 3), OpCounters()) == ALL
+        assert div_weak((None, -1), iv(0, 0), OpCounters()) is None
         # a bounded numerator gets the weak quotient
-        assert div_halfline(iv(155, 161), iv(9, 11), OpCounters()) == (15, 17)
+        assert div_weak(iv(155, 161), iv(9, 11), OpCounters()) == (15, 17)
 
 
 def scan_divisors_oracle(c, d, a0, a1):
@@ -297,7 +296,7 @@ class TestCounters:
         assert c.multI == 1
         div(iv(4, 8), iv(2, 2), c)
         div_weak(iv(4, 8), iv(2, 2), c)
-        div_halfline((None, 8), iv(2, 2), c)
+        div_weak((None, 8), iv(2, 2), c)
         assert c.div == 3
         div_scalar(iv(4, 8), 2, c)
         assert c.div == 4
@@ -499,7 +498,9 @@ class TestEnumerationOracle:
             h = rng.randint(LO, HI)
             b = random_interval(rng)
             sb = as_set(b)
-            got = div_halfline((None, h), b, OpCounters())
+            got = div_weak((None, h), b, OpCounters())
+            # a half-line numerator is never snapped
+            assert div((None, h), b, OpCounters()) == got
             want = {u for u in range(-lim, lim + 1)
                     for y in sb if u * y <= h}
             if not want:

@@ -91,6 +91,26 @@ class TestBinding:
             if shape is None:
                 assert apply == rule.apply, rule
 
+    def test_every_linear_equality_length_has_a_fast_path(self):
+        # an equality short enough for a kernel is served by one, and a
+        # longer one shares one residue: no length falls back to summing
+        # its residue term by term during a search.  This holds while
+        # rules.LONG_SUM - 2 <= kernels.MAX_OTHERS
+        for n in range(1, rules.LONG_SUM + 3):
+            names = ["x%d" % i for i in range(n)]
+            text = "".join("var %s in [-9..9]; " % v for v in names)
+            text += "constraint x0%s = 1;" % "".join(
+                " %s %d*%s" % ("-+"[i % 2], i + 1, v)
+                for i, v in enumerate(names) if i)
+            dec = decompose(parse(text), "du")
+            solver = Solver(dec)
+            linear = [(rule, shape) for rule, shape
+                      in zip(dec.rules, kernel_shapes(solver))
+                      if isinstance(rule, rules.LinearEqRule)]
+            assert len(linear) == n
+            for rule, shape in linear:
+                assert shape is not None or rule.shared is not None, n
+
     def test_shapes_do_not_grow_with_the_size(self, empty_cache):
         shapes = []
         for n in (300, 3000):

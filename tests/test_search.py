@@ -99,7 +99,7 @@ class TestSolveAll:
         full, full_stats = solve_all(csp, "fe")
         assert full_stats.nodes > 10
         sols, stats = solve_all(csp, "fe", max_nodes=10)
-        assert not stats.complete
+        assert not stats.complete and stats.stopped == "nodes"
         assert stats.nodes == 10
         assert len(sols) <= len(full)
 
@@ -335,6 +335,7 @@ class TestMaximize:
         # the proof's statistics come with it
         stats = e.value.stats
         assert stats.complete and stats.solutions == 0
+        assert stats.complete == (stats.stopped == "complete")
         assert stats.drf_applications > 0 and stats.incumbents == []
 
     def test_truncation_is_not_infeasibility(self):
@@ -397,6 +398,7 @@ class TestTimeLimit:
         sols, stats = solve_all(parse(self.TEXT), time_limit=self.LIMIT)
         took = time.perf_counter() - t0
         assert not stats.complete and stats.nodes > 0
+        assert stats.stopped == "time"
         assert self.LIMIT <= stats.elapsed and took < self.LIMIT + 1.0
         assert sols and all(x + y == TestDeepSearch.N for x, y in sols)
 
@@ -422,10 +424,11 @@ class TestTimeLimit:
                                 time_limit=0.2)
         assert time.perf_counter() - t0 < 2.0
         assert sols == [] and not stats.complete and stats.nodes == 0
+        assert stats.stopped == "time"
 
     def test_a_search_within_the_limit_is_complete(self):
         sols, stats = solve_all(sumprod(6), time_limit=60.0)
-        assert stats.complete
+        assert stats.complete and stats.stopped == "complete"
         assert sols == solve_all(sumprod(6))[0]
 
 
