@@ -32,6 +32,7 @@ from .decompose import VARIANTS
 from .engine import PropagationLimit
 from .intervals import OpCounters
 from .model import CSP, ParseError, parse
+from .rules import DIVISIONS
 from .search import (Infeasible, SearchStats, UnboundedAfterPropagation,
                      maximize, solve_all)
 
@@ -154,7 +155,7 @@ def _main(argv: Optional[List[str]]) -> int:
     ap.add_argument("--n", type=int, default=None,
                     help="size parameter (sumprod length, cubes/opt/kyoto limit)")
     ap.add_argument("--variant", choices=VARIANTS, default="fe")
-    ap.add_argument("--division", choices=("weak", "strong"), default="weak")
+    ap.add_argument("--division", choices=tuple(DIVISIONS), default="weak")
     ap.add_argument("--schedule", choices=("generated", "cycle"),
                     default="generated")
     ap.add_argument("--goal", choices=("all", "maximize"), default=None,

@@ -300,11 +300,14 @@ def _backward(a, rules, def_rules, fragment):
 
 def decompose(csp: CSP, variant: str,
               division: str = "weak") -> DecomposedCSP:
-    """Rewrite a CSP for one variant and prepare its rules and schedule."""
+    """Rewrite a CSP for one variant and prepare its rules and schedule.
+
+    An unknown variant raises ``ValueError``, and so does a division that
+    :data:`~intprop.rules.DIVISIONS` does not name (``build_rules``
+    checks it).
+    """
     if variant not in VARIANTS:
         raise ValueError("unknown variant %r" % variant)
-    if division not in ("weak", "strong"):
-        raise ValueError("division must be 'weak' or 'strong'")
     names = list(csp.names)
     n_user = len(names)
     # an empty user domain leaves nothing to propagate or to evaluate

@@ -8,9 +8,11 @@ serves every rule of one shape:
 
 * a :class:`~intprop.rules.LinearEqRule` without a shared residue, or a
   :class:`~intprop.rules.LinearIneqRule`, with at most :data:`MAX_OTHERS`
-  other terms.  The shape is the family, the signs of the other
-  coefficients (``p`` or ``n`` each) and the class of ``a_j``: ``one``,
-  ``minus_one``, ``pos`` (greater than 1) or ``neg`` (less than -1);
+  other terms.  That is ``rules.LONG_SUM - 2``, so every rule of an
+  equality too short to share its residue has a kernel.  The shape is the
+  family, the signs of the other coefficients (``p`` or ``n`` each) and
+  the class of ``a_j``: ``one``, ``minus_one``, ``pos`` (greater than 1)
+  or ``neg`` (less than -1);
 * a :class:`~intprop.rules.MultRule` of kind 1 (``Mult_1``), or of kind 2
   or 3 under weak division (``Mult_23w``).  The kernel takes the
   non-negative row of :func:`~intprop.intervals.mult`'s table, or of the
@@ -46,10 +48,12 @@ import linecache
 import types
 
 from . import intervals as iv
-from .rules import LinearEqRule, LinearIneqRule, MultRule
+from .rules import LONG_SUM, LinearEqRule, LinearIneqRule, MultRule
 
-# the most other terms of a linear rule that a kernel is generated for
-MAX_OTHERS = 4
+# the most other terms of a linear rule that a kernel is generated for:
+# those of an equality of LONG_SUM - 1 terms, the longest whose rules do
+# not share a residue
+MAX_OTHERS = LONG_SUM - 2
 
 # shape -> compiled kernel, shared by every solver of the process; a shape
 # is a tuple of strings, and its kernel is named by joining them with "_"

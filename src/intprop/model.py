@@ -5,6 +5,9 @@ repeated product).  Normalization expands everything, collects like terms
 under the global variable order (declaration order), moves the constant to
 the right-hand side, and eliminates strict comparisons using integrality.
 The result is ``sum of monomials  op  integer`` with ``op`` one of =, <=, !=.
+An expression is built with the node constructors (``Add(Var(0), Lit(1))``;
+a variable is known by its index in ``CSP.names``), and a constraint from
+two expressions with :func:`normalize`.
 A product or power may expand to at most ``MAX_MONOMIALS`` monomials, and
 expanding one constraint may take at most ``_MAX_PRODUCTS`` products of two
 terms; the constraints of one problem file share that budget.  There are
@@ -49,25 +52,6 @@ MonomialT = Tuple[int, PowerProduct]
 
 class Expr:
     __slots__ = ()
-
-    def __add__(self, other):
-        return Add(self, _as_expr(other))
-
-    def __sub__(self, other):
-        return Sub(self, _as_expr(other))
-
-    def __mul__(self, other):
-        return Mul(self, _as_expr(other))
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __pow__(self, n):
-        return Pow(self, n)
-
-
-def _as_expr(x):
-    return Lit(x) if isinstance(x, int) else x
 
 
 class Var(Expr):
@@ -406,16 +390,10 @@ class CSP:
     def goal(self) -> str:
         return "all" if self.objective is None else "maximize"
 
-    def var(self, name: str) -> int:
-        return self.names.index(name)
-
     def add_var(self, name: str, domain: Interval) -> int:
         self.names.append(name)
         self.domains.append(domain)
         return len(self.names) - 1
-
-    def add_constraint(self, lhs: Expr, op: str, rhs: Expr) -> None:
-        self.constraints.append(normalize(lhs, op, rhs))
 
 
 # ---------------------------------------------------------------------------

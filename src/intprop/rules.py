@@ -28,11 +28,16 @@ Rule families:
   general constraint, with an optional simplified-fraction mode that
   divides out common variable powers and evaluates the residue in exact
   rational arithmetic,
-* the three multiplication rules for ``x*y = z`` (with a weak-division
-  option), exponentiation/root extraction for ``x = y**n``,
+* the three multiplication rules for ``x*y = z``, exponentiation/root
+  extraction for ``x = y**n``,
 * bound-trimming disequality rules, and a general disequality check that
   waits until every variable it reads is fixed and then evaluates the
   constraint exactly with :func:`~intprop.model.check_assignment`.
+
+The rules that divide by an interval (``PolyRule`` and ``MultRule`` of
+kinds 2 and 3) take the name of a division, ``"weak"`` or ``"strong"``,
+and look its kernel up in :data:`DIVISIONS`, the one map from a name to
+``intervals.div_weak`` or ``intervals.div``; another name raises.
 
 Each narrowing step is written once and shared: :func:`_narrow`
 intersects the written domain with a result, or with the parts of its
@@ -89,6 +94,9 @@ UNCHANGED = -1
 # residue snapshot; on shorter sums the per-rule sum costs less than the
 # snapshot's upkeep
 LONG_SUM = 6
+
+# the interval kernel of each division, by name
+DIVISIONS = {"weak": iv.div_weak, "strong": iv.div}
 
 DomainStore = List[Interval]
 
@@ -527,7 +535,7 @@ class PolyRule(Rule):
         self.s_coeff = c
         self.s_pp = tuple([(v, e) for v, e in pp if v != vj])
         self.op = constraint.op
-        self.divfn = iv.div_weak if division == "weak" else iv.div
+        self.divfn = DIVISIONS[division]
         self.writes = vj
         # every variable of the constraint, but x_j when it occurs in the
         # pivot monomial only and the root is odd (even-root parts clip
@@ -603,7 +611,7 @@ class MultRule(Rule):
             self.fn, self.a, self.b, self.writes = iv.mult, x, y, z
             self.reads = (x, y)
         else:
-            self.fn = iv.div_weak if division == "weak" else iv.div
+            self.fn = DIVISIONS[division]
             self.a, self.b, self.writes = (z, y, x) if kind == 2 else (z, x, y)
             self.reads = (self.b, z)
 
@@ -757,7 +765,12 @@ def build_rules(constraints, division: str = "weak",
     variable by itself), power atoms the forward/backward pair, linear
     constraints one isolation per variable, and general polynomial
     constraints one rule per occurrence of a variable in a monomial.
+    ``division`` names the quotient kernel of the ``MultRule`` and
+    ``PolyRule`` objects in :data:`DIVISIONS`; any other name raises
+    ``ValueError``.
     """
+    if division not in DIVISIONS:
+        raise ValueError("division must be 'weak' or 'strong'")
     rules: List[Rule] = []
     for c in constraints:
         if isinstance(c, TrivialConstraint):

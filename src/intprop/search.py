@@ -34,7 +34,9 @@ exceed the budget, and both entry points return what was found so far
 (seconds, counted from the start of the search, root propagation
 included) truncates it in the same way, before the first node popped
 after the limit or at the end of the first propagation sweep past it;
-the clock is read only when a limit is set.  The search records which
+the clock is read only when a limit is set.  A limit of 0 or less ends the
+search before it counts its root node, as a ``max_nodes`` of 0 or less
+does, and a NaN limit raises ``ValueError``.  The search records which
 limit stopped it in ``stats.stopped``: ``"nodes"`` or ``"time"`` (at a
 pop, the node budget is checked first), or ``"complete"`` when neither
 did; ``stats.complete`` is true only in the last case.  A deadline met
@@ -119,6 +121,8 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
     """Run one search (see the module docstring); ``found`` receives
     each accepted solution as the values of ``dec``'s user variables, and
     ``objective`` names the variable to maximize, if any."""
+    if time_limit is not None and time_limit != time_limit:  # NaN
+        raise ValueError("time_limit is NaN")
     stats = SearchStats(variant=dec.variant, division=dec.division,
                         mode=mode, nvar=len(dec.names),
                         n_rules=len(dec.rules))
@@ -205,7 +209,8 @@ def solve_all(csp: CSP, variant: str = "fe", division: str = "weak",
     original constraints.  Statistics cover the whole run, root
     propagation included.  ``max_nodes`` and ``time_limit`` (seconds)
     truncate the search; ``stats.stopped`` then names the limit, and
-    ``stats.complete`` is false.
+    ``stats.complete`` is false.  A NaN ``time_limit`` raises
+    ``ValueError``.
     """
     if dec is None:
         dec = decompose(csp, variant, division)
@@ -236,7 +241,8 @@ def maximize(csp: CSP, objective: Optional[Expr] = None,
     Returns (best assignment, best value, stats), which after truncation
     by ``max_nodes`` or ``time_limit`` are the last incumbent or
     ``(None, None)``; raises :class:`Infeasible`, which carries the
-    stats, when a complete search finds no solution.
+    stats, when a complete search finds no solution, and ``ValueError``
+    for a NaN ``time_limit``.
     """
     if objective is None:
         objective = csp.objective

@@ -52,9 +52,9 @@ class TestBenchmarkShapes:
     def test_kyoto_model(self):
         csp = build_benchmark("kyoto")
         assert csp.names == ["K", "Y", "O", "T", "B"]
-        assert csp.domains[csp.var("B")] == (2, 100)
-        assert csp.domains[csp.var("K")][0] == 1   # K may not be zero
-        assert csp.domains[csp.var("Y")][0] == 0
+        assert csp.domains[csp.names.index("B")] == (2, 100)
+        assert csp.domains[csp.names.index("K")][0] == 1   # K may not be zero
+        assert csp.domains[csp.names.index("Y")][0] == 0
         les = [c for c in csp.constraints if isinstance(c, PolynomialConstraint)
                and c.op == "le"]
         assert len(les) == 4                        # digits below the base

@@ -40,7 +40,7 @@ PROBLEMS = {
 def _pinned(name, n, **pins):
     csp = build_benchmark(name, n)
     for letter, value in pins.items():
-        csp.domains[csp.var(letter)] = (value, value)
+        csp.domains[csp.names.index(letter)] = (value, value)
     return csp
 
 

@@ -8,6 +8,7 @@ from intprop.bench import build_benchmark
 from intprop.decompose import VARIANTS, AuxDef, decompose
 from intprop.model import (
     CSP,
+    Add,
     Lit,
     Mul,
     MultAtom,
@@ -217,8 +218,9 @@ class TestAuxDomains:
         # an empty domain ends every variant before propagation
         x, y = Var(0), Var(1)
         csp = CSP(names=["x", "y"], domains=[(1, 3), None],
-                  constraints=[normalize(x * y + x * x * y, "<=", Lit(9)),
-                               normalize(x * y, "!=", Lit(2))])
+                  constraints=[normalize(Add(Mul(x, y), Mul(Mul(x, x), y)),
+                                         "<=", Lit(9)),
+                               normalize(Mul(x, y), "!=", Lit(2))])
         for variant in VARIANTS:
             dec = decompose(csp, variant)
             assert dec.infeasible, variant
@@ -369,7 +371,7 @@ class TestSolutionProjection:
                     if rng.random() < 0.3:
                         t = Mul(Lit(rng.randint(-3, 3)), t)
                     e = t if e is None else (t if rng.random() < 0.2
-                                             else e + t)
+                                             else Add(e, t))
                 op = rng.choice(["=", "<=", "!="])
                 c = normalize(e, op, Lit(rng.randint(-6, 6)))
                 constraints.append(c)

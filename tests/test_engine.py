@@ -12,7 +12,8 @@ from intprop.engine import (
     Solver,
 )
 from intprop.intervals import OpCounters
-from intprop.model import CSP, Lit, Mul, MultAtom, Var, normalize, parse
+from intprop.model import (CSP, Add, Lit, Mul, MultAtom, Var, normalize,
+                           parse)
 from intprop.rules import UNCHANGED
 
 
@@ -79,7 +80,7 @@ class TestPropagate:
                 doms.append((a, b))
             e = Mul(Var(0), Var(1))
             c1 = normalize(e, "=", Var(2))
-            c2 = normalize(Var(0) + Var(1), "<=", Lit(rng.randint(-3, 6)))
+            c2 = normalize(Add(Var(0), Var(1)), "<=", Lit(rng.randint(-3, 6)))
             csp = CSP(names=["x", "y", "z"], domains=doms,
                       constraints=[c1, c2])
             for variant in ("du", "pu", "fm"):

@@ -94,8 +94,8 @@ class TestBinding:
     def test_every_linear_equality_length_has_a_fast_path(self):
         # an equality short enough for a kernel is served by one, and a
         # longer one shares one residue: no length falls back to summing
-        # its residue term by term during a search.  This holds while
-        # rules.LONG_SUM - 2 <= kernels.MAX_OTHERS
+        # its residue term by term during a search.  This holds by
+        # construction, since kernels.MAX_OTHERS is rules.LONG_SUM - 2
         for n in range(1, rules.LONG_SUM + 3):
             names = ["x%d" % i for i in range(n)]
             text = "".join("var %s in [-9..9]; " % v for v in names)

@@ -300,7 +300,7 @@ class TestParser:
         assert csp.constraints[0].monomials == ((1, ((0, 200000),)),)
         assert csp.constraints[1].monomials == ((2, ((0, 1), (1, 3))),)
         assert len(products) == 2      # the two products of 2*x*y^3
-        n = normalize(Pow(Lit(-2), 5) + Pow(Lit(0), 10 ** 9), "=", Lit(0))
+        n = normalize(Add(Pow(Lit(-2), 5), Pow(Lit(0), 10 ** 9)), "=", Lit(0))
         assert n == TrivialConstraint(False)
 
     def test_comments_and_parens(self):
@@ -390,7 +390,7 @@ class TestCSP:
         csp = CSP(names=[], domains=[], constraints=[])
         x = csp.add_var("x", (1, 5))
         y = csp.add_var("y", (2, 2))
-        csp.add_constraint(Mul(Var(x), Var(y)), "=", Lit(6))
-        assert csp.var("y") == y
+        csp.constraints.append(normalize(Mul(Var(x), Var(y)), "=", Lit(6)))
+        assert csp.names.index("y") == y
         assert check_assignment(csp.constraints[0], [3, 2])
         assert not check_assignment(csp.constraints[0], [4, 2])

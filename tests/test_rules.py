@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from intprop import intervals as iv
 from intprop.intervals import OpCounters
 from intprop.model import (
@@ -399,3 +401,14 @@ class TestBuildRules:
         assert sorted(rules[2].reads) == [0, u]
         assert sorted(rules[3].reads) == [0]
         assert sorted(rules[4].reads) == [u]
+
+    def test_an_unknown_division_name_raises(self):
+        # a misspelt name must not select exact division
+        csp, c = constraint_of("constraint x^3*y - x <= 40;",
+                               [("x", (1, 100)), ("y", (1, 100))])
+        with pytest.raises(ValueError):
+            build_rules([c], "Weak")
+        with pytest.raises(KeyError):
+            PolyRule(c, 0, 0, "Weak", shared=_Residuals(c))
+        with pytest.raises(KeyError):
+            MultRule(2, 0, 1, 2, "Weak")

@@ -13,7 +13,7 @@ import pytest
 import intprop
 from intprop.bench import build_benchmark, opt, sumprod
 from intprop.decompose import VARIANTS, decompose
-from intprop.model import CSP, Lit, Mul, Var, normalize, parse
+from intprop.model import CSP, Add, Lit, Mul, Var, normalize, parse
 from intprop.search import (
     Infeasible,
     UnboundedAfterPropagation,
@@ -121,7 +121,8 @@ class TestSolveAll:
                 doms.append((a, b))
             c1 = normalize(Mul(Var(0), Mul(Var(1), Var(1))), "=",
                            Mul(Lit(2), Var(2)))
-            c2 = normalize(Var(0) + Var(1) + Var(2), "<=", Lit(rng.randint(0, 8)))
+            c2 = normalize(Add(Add(Var(0), Var(1)), Var(2)), "<=",
+                           Lit(rng.randint(0, 8)))
             csp = CSP(names=["x", "y", "z"], domains=doms,
                       constraints=[c1, c2])
             results = set()
@@ -149,7 +150,7 @@ class TestSharedDecomposition:
     def kyoto_du():
         # base 9 with B pinned: four solutions, one 9-monomial constraint
         csp = build_benchmark("kyoto", 9)
-        csp.domains[csp.var("B")] = (9, 9)
+        csp.domains[csp.names.index("B")] = (9, 9)
         return csp, decompose(csp, "du")
 
     @staticmethod
@@ -430,6 +431,11 @@ class TestTimeLimit:
         sols, stats = solve_all(sumprod(6), time_limit=60.0)
         assert stats.complete and stats.stopped == "complete"
         assert sols == solve_all(sumprod(6))[0]
+        # a NaN limit is an error, not a search without a limit
+        with pytest.raises(ValueError):
+            solve_all(sumprod(6), time_limit=math.nan)
+        with pytest.raises(ValueError):
+            maximize(opt(20), time_limit=math.nan)
 
 
 class TestChecksUnderOptimize:
