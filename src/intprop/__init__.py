@@ -42,4 +42,4 @@ __all__ = [
     "maximize", "solve_all", "verify_solution",
 ]
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -29,13 +29,18 @@ no user constraint needs, directly or through another definition, are
 left out, and the others are numbered once: ids follow the user variables
 in creation order, and ``_u<k>`` names the ``k``-th auxiliary created
 (with ``_`` appended while a user variable has that name), so the names
-of the kept ones may skip numbers.  Each auxiliary's initial domain is
-the image of its definition's forward rule (the first of its rules),
-applied in definition order, so the rules are the one place where a
-definition is evaluated.  Those applications are not propagation work:
-they count into a scratch counter and keep their residue snapshots in a
-scratch dict, both then dropped.  With an empty user domain the problem
-is infeasible and no initial domain is computed.
+of the kept ones may skip numbers.  Each kept auxiliary ``u`` is then
+described once, by its definition constraint: ``u - pp = 0`` for a power
+product ``pp`` (``pu``, ``po``), ``MultAtom(a, b, u)`` for ``u = a*b`` or
+``PowerAtom(u, y, n)`` for ``u = y**n``.  The definitions come first in
+``constraints``, in id order, and the rewritten user constraints follow.
+Each auxiliary's initial domain is the image of its definition's forward
+rule (the first of its rules), applied in definition order, so the rules
+are the one place where a definition is evaluated.  Those applications
+are not propagation work: they count into a scratch counter and keep
+their residue snapshots in a scratch dict, both then dropped.  With an
+empty user domain the problem is infeasible and no initial domain is
+computed.
 
 Each definition's rules follow one another, its forward rule first, and
 the forward rule reads exactly the definition's arguments.  The generated
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .intervals import Interval, OpCounters
 from .model import (
@@ -62,34 +67,38 @@ from .model import (
     TrivialConstraint,
     _pp_key,
 )
-from .rules import Rule, build_rules, readers_index
+from .rules import Rule, build_rules, check_division, readers_index
 
 VARIANTS = ("du", "do", "pu", "po", "fm", "fs", "fe")
 
 
-@dataclass(frozen=True)
-class AuxDef:
-    """Definition of one auxiliary variable."""
-    var: int
-    kind: str                      # "pp" | "mul" | "pow"
-    pp: PowerProduct = ()          # kind == "pp": the defining power product
-    args: Tuple[int, ...] = ()     # "mul": (u, v); "pow": (y, n)
-
-
 @dataclass
 class DecomposedCSP:
+    """One CSP rewritten for a variant, with its rules and schedule.
+
+    ``names`` and ``domains`` cover every variable: the ``n_user`` user
+    variables first, then the auxiliaries in definition order.
+    ``constraints`` holds each auxiliary's definition, in the same order,
+    then the rewritten user constraints; the rules are built from them,
+    and only tests read them afterwards.  ``rules``, ``readers`` (the
+    rules that read each variable) and ``schedule`` are what
+    :class:`~intprop.engine.Solver` propagates, over a copy of
+    ``domains``.  The search branches over the variables in id order,
+    reports the values of the first ``n_user``, names an unbounded
+    variable from ``names``, stops at its root when ``infeasible`` (a
+    user domain is empty or a constraint is trivially false), and copies
+    ``variant`` and ``division`` into its statistics.  The benchmark's
+    tracer reads the sizes of ``names``, ``rules`` and ``schedule``.
+    """
     variant: str
     division: str
     names: List[str]
     domains: List[Interval]
     n_user: int
-    constraints: List[Constraint]   # aux definitions first, then users
-    aux_defs: List[AuxDef]
+    constraints: List[Constraint]
     rules: List[Rule]
-    user_rule_indices: Sequence[int]
     readers: List[List[int]]
     schedule: List[int]
-    branch_order: List[int]
     infeasible: bool = False
 
 
@@ -208,8 +217,8 @@ def _number(made: Dict[PowerProduct, Tuple[str, tuple]],
     to its definition: ``("pp", ())`` for the product itself, or one of
     :class:`_SubTerms`; ``targets`` lists the products each user constraint
     replaces.  Appends the kept auxiliaries' names to ``names``, the user
-    names, and returns their definitions and the ids of the user variables
-    and the kept auxiliaries by power product.
+    names, and returns their definition constraints, in id order, and the
+    ids of the user variables and the kept auxiliaries by power product.
     """
     needed = {pp for ts in targets for pp in ts}
     for pp, (kind, args) in reversed(made.items()):
@@ -217,7 +226,7 @@ def _number(made: Dict[PowerProduct, Tuple[str, tuple]],
             needed.update(args if kind == "mul" else args[:1])
     ids = {((v, 1),): v for v in range(len(names))}
     taken = set(names)
-    defs: List[AuxDef] = []
+    defs: List[Constraint] = []
     for i, (pp, (kind, args)) in enumerate(made.items(), 1):
         if pp not in needed:
             continue
@@ -227,11 +236,12 @@ def _number(made: Dict[PowerProduct, Tuple[str, tuple]],
             name += "_"
         names.append(name)
         if kind == "pp":
-            defs.append(AuxDef(u, "pp", pp=pp))
+            defs.append(PolynomialConstraint(((1, ((u, 1),)), (-1, pp)),
+                                             "eq", 0))
         elif kind == "mul":
-            defs.append(AuxDef(u, "mul", args=(ids[args[0]], ids[args[1]])))
+            defs.append(MultAtom(ids[args[0]], ids[args[1]], u))
         else:
-            defs.append(AuxDef(u, "pow", args=(ids[args[0]], args[1])))
+            defs.append(PowerAtom(u, ids[args[0]], args[1]))
     return defs, ids
 
 
@@ -244,22 +254,13 @@ def _substitute(c: PolynomialConstraint, targets: List[PowerProduct],
     return PolynomialConstraint(mons, c.op, c.rhs, origin=c.origin)
 
 
-def def_constraint(d: AuxDef) -> Constraint:
-    """The constraint enforcing one auxiliary definition."""
-    if d.kind == "pp":
-        return PolynomialConstraint(
-            ((1, ((d.var, 1),)), (-1, d.pp)), "eq", 0)
-    if d.kind == "mul":
-        return MultAtom(d.args[0], d.args[1], d.var)
-    return PowerAtom(d.var, d.args[0], d.args[1])
-
-
-def _generate_schedule(rules: List[Rule], user_rule_indices: Sequence[int],
+def _generate_schedule(rules: List[Rule], user_rules: range,
                        def_rules: Dict[int, range]) -> List[int]:
-    """``def_rules`` maps each auxiliary to the indices of its definition's
+    """``user_rules`` are the indices of the user constraints' rules, and
+    ``def_rules`` maps each auxiliary to the indices of its definition's
     rules, forward rule first; the forward rule reads the arguments."""
     schedule: List[int] = []
-    for f in user_rule_indices:
+    for f in user_rules:
         rule = rules[f]
         fragment: Dict[int, None] = {}   # the rules in first-visit order
         for a in sorted(v for v in rule.reads if v in def_rules):
@@ -303,11 +304,12 @@ def decompose(csp: CSP, variant: str,
     """Rewrite a CSP for one variant and prepare its rules and schedule.
 
     An unknown variant raises ``ValueError``, and so does a division that
-    :data:`~intprop.rules.DIVISIONS` does not name (``build_rules``
-    checks it).
+    :data:`~intprop.rules.DIVISIONS` does not name, both before anything
+    is rewritten.
     """
     if variant not in VARIANTS:
         raise ValueError("unknown variant %r" % variant)
+    check_division(division)
     names = list(csp.names)
     n_user = len(names)
     # an empty user domain leaves nothing to propagate or to evaluate
@@ -322,7 +324,7 @@ def decompose(csp: CSP, variant: str,
         else:
             kept.append(c)
 
-    defs: List[AuxDef] = []
+    defs: List[Constraint] = []
     users: List[Constraint] = kept
     if variant not in ("du", "do"):
         # atomic constraints are already in final form
@@ -344,28 +346,22 @@ def decompose(csp: CSP, variant: str,
 
     rules: List[Rule] = []
     def_rules: Dict[int, range] = {}
-    def_constraints = [def_constraint(d) for d in defs]
     scratch = OpCounters()
-    for d, dc in zip(defs, def_constraints):
+    for u, dc in enumerate(defs, n_user):
         base = len(rules)
         rules.extend(build_rules([dc], division))
-        def_rules[d.var] = range(base, len(rules))
-        assert rules[base].writes == d.var
+        def_rules[u] = range(base, len(rules))
+        assert rules[base].writes == u
         if not empty:
             # the initial domain is the image of the forward rule
             rules[base].apply(domains, scratch, {})
     n_def_rules = len(rules)
     rules.extend(build_rules(users, division, optimized=variant == "do"))
-    user_rule_indices = range(n_def_rules, len(rules))
-
-    readers = readers_index(rules, len(names))
-    schedule = _generate_schedule(rules, user_rule_indices, def_rules)
-    branch_order = list(range(n_user)) + [d.var for d in defs]
 
     return DecomposedCSP(
         variant=variant, division=division, names=names,
-        domains=domains, n_user=n_user,
-        constraints=def_constraints + users,
-        aux_defs=defs, rules=rules, user_rule_indices=user_rule_indices,
-        readers=readers, schedule=schedule, branch_order=branch_order,
+        domains=domains, n_user=n_user, constraints=defs + users,
+        rules=rules, readers=readers_index(rules, len(names)),
+        schedule=_generate_schedule(rules, range(n_def_rules, len(rules)),
+                                    def_rules),
         infeasible=infeasible)

@@ -44,6 +44,15 @@ FIXPOINT = -1
 # at the start of each run
 STEP_LIMIT = 10 ** 8
 
+# the rule visiting orders, by name
+MODES = ("scheduled", "cycle")
+
+
+def check_mode(mode: str) -> None:
+    """Raise ``ValueError`` unless :data:`MODES` names ``mode``."""
+    if mode not in MODES:
+        raise ValueError("mode must be 'scheduled' or 'cycle'")
+
 
 class PropagationLimit(RuntimeError):
     """Raised when one propagation run applies more than
@@ -86,8 +95,7 @@ class Solver:
 
     def __init__(self, decomposed, mode: str = "scheduled",
                  deadline: Optional[float] = None):
-        if mode not in ("scheduled", "cycle"):
-            raise ValueError("mode must be 'scheduled' or 'cycle'")
+        check_mode(mode)
         self.rules = decomposed.rules
         get = BINDERS.get
         self._applies = [r.apply if (bind := get(type(r).apply)) is None

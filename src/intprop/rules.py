@@ -98,6 +98,13 @@ LONG_SUM = 6
 # the interval kernel of each division, by name
 DIVISIONS = {"weak": iv.div_weak, "strong": iv.div}
 
+
+def check_division(division: str) -> None:
+    """Raise ``ValueError`` unless :data:`DIVISIONS` names ``division``."""
+    if division not in DIVISIONS:
+        raise ValueError("division must be 'weak' or 'strong'")
+
+
 DomainStore = List[Interval]
 
 
@@ -769,8 +776,7 @@ def build_rules(constraints, division: str = "weak",
     ``PolyRule`` objects in :data:`DIVISIONS`; any other name raises
     ``ValueError``.
     """
-    if division not in DIVISIONS:
-        raise ValueError("division must be 'weak' or 'strong'")
+    check_division(division)
     rules: List[Rule] = []
     for c in constraints:
         if isinstance(c, TrivialConstraint):

@@ -1,27 +1,32 @@
 """Branch-and-propagate search over a decomposed problem.
 
-Depth-first, leftmost-first: variables are picked in declaration order
-(auxiliaries last), the chosen domain is bisected at the floor midpoint and
-the lower half explored first.  Propagation runs once at the root and after
-every split.  Every search-tree node is counted, including failed and
-solution leaves.
+Depth-first, leftmost-first: variables are picked in id order, the chosen
+domain is bisected at the floor midpoint and the lower half explored
+first.  Propagation runs once at the root and after every split.  Every
+search-tree node is counted, including failed and solution leaves.
 
 One routine runs every search: it builds the statistics and the
 :class:`Solver`, propagates at the root, rejects variables left unbounded,
 searches, and checks every solution exactly against the constraints as
-written before accepting it.  Bounds are checked once, on every branching
-variable after root propagation: from there on domains only shrink, and
+written before accepting it.  Bounds are checked once, on every variable
+after root propagation: from there on domains only shrink, and
 auxiliaries are products of user variables.
 
-The search is one loop over an explicit stack, so its depth is limited by
-memory, not by the recursion limit.  A frame is (parent store, first
-position of the branching order that may be unfixed, variable, half).
-Popping one restores the store, counts the node, applies the incumbent
-bound, propagates, and then accepts a solution or splits; a split copies
-the store once and pushes the upper half, then the lower half.
+The branching order is the id order because of how
+:func:`~intprop.decompose.decompose` numbers variables: the user variables
+in declaration order, then the auxiliaries in definition order.  The
+search is one loop over an explicit stack, so its depth is limited by
+memory, not by the recursion limit.  A frame is ``(saved, k, half)``: the
+parent store, in which every variable below ``k`` is fixed, and the half
+of variable ``k``'s domain to explore (the root is ``(None, 0, None)``
+and keeps the store).  Popping one restores the store, sets ``k`` to
+``half``, counts the node, applies the incumbent bound, propagates, and
+then accepts a solution or splits the first unfixed variable from ``k``
+on; a split copies the store once and pushes the upper half, then the
+lower half.
 
 :func:`solve_all` collects what it accepts;
-:func:`maximize` adds a variable equated with the objective, and each
+:func:`maximize` adds a variable equated with the CSP's objective, and each
 accepted solution becomes the incumbent: the remaining search only admits
 strictly larger objective values, so the incumbent sequence is strictly
 increasing and the last solution is optimal.  The search never splits
@@ -52,10 +57,10 @@ from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
 from .decompose import DecomposedCSP, decompose
-from .engine import FIXPOINT, DeadlineReached, Solver
+from .engine import FIXPOINT, DeadlineReached, Solver, check_mode
 from . import intervals as iv
 from .intervals import OpCounters
-from .model import CSP, Expr, Var, check_origin, normalize
+from .model import CSP, Var, check_origin, normalize
 
 Assignment = Tuple[int, ...]
 
@@ -131,7 +136,7 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
     solver = Solver(dec, mode=mode, deadline=deadline)
     stats.counters = solver.counters
     store = solver.store
-    order = dec.branch_order
+    n = len(store)
     n_user = dec.n_user
     incumbents = stats.incumbents
 
@@ -150,13 +155,12 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
     solver.flag_all()
     try:
         if not dec.infeasible and solver.propagate() == FIXPOINT:
-            for v in order:
-                d = store[v]
+            for v, d in enumerate(store):
                 if d[0] is None or d[1] is None:
                     raise UnboundedAfterPropagation(dec.names[v])
-            stack.append((None, 0, None, None))  # the root, propagated
+            stack.append((None, 0, None))  # the root, propagated
         while stack:
-            saved, k, v, half = stack.pop()
+            saved, k, half = stack.pop()
             if max_nodes is not None and stats.nodes >= max_nodes:
                 stats.stopped = "nodes"
                 break
@@ -165,8 +169,8 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
             stats.nodes += 1
             if saved is not None:
                 store[:] = saved
-                store[v] = half
-                seeds = [v]
+                store[k] = half
+                seeds = [k]
                 failed = False
                 if incumbents:
                     dc = store[objective]
@@ -177,17 +181,16 @@ def _run_search(csp: CSP, dec: DecomposedCSP, mode: str,
                         failed = nd is None
                 if failed or solver.propagate(seeds) != FIXPOINT:
                     continue
-            while k < len(order) and store[order[k]][0] == store[order[k]][1]:
+            while k < n and store[k][0] == store[k][1]:
                 k += 1
-            if k == len(order):
+            if k == n:
                 accept([store[v][0] for v in range(n_user)])
                 continue
-            v = order[k]
-            lo, hi = store[v]
+            lo, hi = store[k]
             mid = (lo + hi) // 2
             saved = store[:]
-            stack.append((saved, k, v, (mid + 1, hi)))
-            stack.append((saved, k, v, (lo, mid)))
+            stack.append((saved, k, (mid + 1, hi)))
+            stack.append((saved, k, (lo, mid)))
     except DeadlineReached:
         stats.stopped = "time"
     stats.drf_applications = solver.applications
@@ -209,9 +212,11 @@ def solve_all(csp: CSP, variant: str = "fe", division: str = "weak",
     original constraints.  Statistics cover the whole run, root
     propagation included.  ``max_nodes`` and ``time_limit`` (seconds)
     truncate the search; ``stats.stopped`` then names the limit, and
-    ``stats.complete`` is false.  A NaN ``time_limit`` raises
-    ``ValueError``.
+    ``stats.complete`` is false.  An unknown ``mode`` raises
+    ``ValueError`` before the CSP is decomposed; a NaN ``time_limit``
+    raises it too.
     """
+    check_mode(mode)
     if dec is None:
         dec = decompose(csp, variant, division)
     solutions: List[Assignment] = []
@@ -228,12 +233,12 @@ def solve_all(csp: CSP, variant: str = "fe", division: str = "weak",
     return solutions, stats
 
 
-def maximize(csp: CSP, objective: Optional[Expr] = None,
-             variant: str = "fe", division: str = "weak",
+def maximize(csp: CSP, variant: str = "fe", division: str = "weak",
              mode: str = "scheduled", max_nodes: Optional[int] = None,
              time_limit: Optional[float] = None,
              ) -> Tuple[Optional[Assignment], Optional[int], SearchStats]:
-    """Find the assignment maximizing the objective, by branch and bound.
+    """Find the assignment maximizing ``csp.objective``, by branch and
+    bound.
 
     A fresh variable is constrained equal to the objective; after every
     solution the search additionally requires the objective to exceed the
@@ -242,16 +247,16 @@ def maximize(csp: CSP, objective: Optional[Expr] = None,
     by ``max_nodes`` or ``time_limit`` are the last incumbent or
     ``(None, None)``; raises :class:`Infeasible`, which carries the
     stats, when a complete search finds no solution, and ``ValueError``
-    for a NaN ``time_limit``.
+    for a CSP without an objective or an unknown ``mode``, both before
+    anything is decomposed, and for a NaN ``time_limit``.
     """
-    if objective is None:
-        objective = csp.objective
-    if objective is None:
+    if csp.objective is None:
         raise ValueError("no objective given")
+    check_mode(mode)
     work = CSP(names=list(csp.names), domains=list(csp.domains),
                constraints=list(csp.constraints))
     obj_var = work.add_var("_objective", (None, None))
-    work.constraints.append(normalize(Var(obj_var), "=", objective))
+    work.constraints.append(normalize(Var(obj_var), "=", csp.objective))
     dec = decompose(work, variant, division)
     best: Optional[Assignment] = None
 

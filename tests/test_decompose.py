@@ -5,13 +5,14 @@ import random
 import pytest
 
 from intprop.bench import build_benchmark
-from intprop.decompose import VARIANTS, AuxDef, decompose
+from intprop.decompose import VARIANTS, decompose
 from intprop.model import (
     CSP,
     Add,
     Lit,
     Mul,
     MultAtom,
+    PolynomialConstraint,
     PowerAtom,
     TrivialConstraint,
     Var,
@@ -33,13 +34,31 @@ from intprop.search import Infeasible, maximize, solve_all
 decompose_module = importlib.import_module("intprop.decompose")
 
 
+def definitions(dec):
+    """The auxiliaries' definition constraints, which come first."""
+    return dec.constraints[:len(dec.names) - dec.n_user]
+
+
 def user_constraints(dec):
-    """The rewritten user constraints; the auxiliary definitions come first."""
-    return dec.constraints[len(dec.aux_defs):]
+    """The rewritten user constraints, after the definitions."""
+    return dec.constraints[len(dec.names) - dec.n_user:]
 
 
 def names_of(dec, ids):
     return [dec.names[i] for i in ids]
+
+
+def defines(u, pp):
+    """The definition ``u = pp`` of a partial decomposition."""
+    return PolynomialConstraint(((1, ((u, 1),)), (-1, pp)), "eq", 0)
+
+
+def product(k):
+    """``x0 * ... * x(k-1) = 2`` over [1..2]: its full decomposition tests
+    (k - 1) * (2k - 1) pairs of sub-terms."""
+    return parse("".join("var x%d in [1..2]; " % i for i in range(k))
+                 + "constraint %s = 2;"
+                 % "*".join("x%d" % i for i in range(k)))
 
 
 class TestVariantValidation:
@@ -50,6 +69,12 @@ class TestVariantValidation:
         with pytest.raises(ValueError):
             decompose(csp, "du", division="fast")
 
+    def test_the_division_is_checked_before_rewriting(self):
+        # 225 factors pass the pair cap, which takes seconds to find; an
+        # unknown division name is reported first, at once
+        with pytest.raises(ValueError, match="division must be"):
+            decompose(product(225), "fe", "Weak")
+
 
 class TestPartial:
     def test_two_products_share_nothing(self):
@@ -58,9 +83,8 @@ class TestPartial:
             constraint 100*x*y - 10*y*z = 212;
         """)
         dec = decompose(csp, "pu")
-        assert len(dec.aux_defs) == 2
-        assert [d.pp for d in dec.aux_defs] == [((0, 1), (1, 1)),
-                                                ((1, 1), (2, 1))]
+        assert definitions(dec) == [defines(3, ((0, 1), (1, 1))),
+                                    defines(4, ((1, 1), (2, 1)))]
         # rewritten constraint is linear over the two auxiliaries
         main = user_constraints(dec)[0]
         assert main.is_linear()
@@ -74,12 +98,12 @@ class TestPartial:
             constraint x*y - y <= 3;
         """)
         dec = decompose(csp, "pu")
-        assert len(dec.aux_defs) == 1
+        assert definitions(dec) == [defines(2, ((0, 1), (1, 1)))]
 
     def test_po_leaves_simple_constraints_alone(self):
         csp = build_benchmark("sumprod", 6)
         dec = decompose(csp, "po")
-        assert not dec.aux_defs
+        assert not definitions(dec) and len(dec.names) == dec.n_user
 
     def test_po_replaces_all_duplicated_products(self):
         csp = parse("""
@@ -87,7 +111,7 @@ class TestPartial:
             constraint 100*x*y - 10*y*z = 212;
         """)
         dec = decompose(csp, "po")
-        assert len(dec.aux_defs) == 2
+        assert len(definitions(dec)) == 2
 
     def test_po_keeps_unduplicated_product(self):
         csp = parse("""
@@ -96,8 +120,7 @@ class TestPartial:
         """)
         dec = decompose(csp, "po")
         # only y*z takes part in a duplicate occurrence
-        assert len(dec.aux_defs) == 1
-        assert dec.aux_defs[0].pp == ((2, 1), (3, 1))
+        assert definitions(dec) == [defines(4, ((2, 1), (3, 1)))]
 
 
 class TestFullHeuristics:
@@ -109,32 +132,21 @@ class TestFullHeuristics:
 
     def test_exponentiation_variant(self):
         dec = decompose(self.csp_for("x^5*y^3*z"), "fe")
-        kinds = [(d.kind, d.args) for d in dec.aux_defs]
-        # u1 = x^5, u2 = y^3, u3 = u1*u2, u4 = u3*z
-        assert kinds[0] == ("pow", (0, 5))
-        assert kinds[1] == ("pow", (1, 3))
-        u1, u2 = dec.aux_defs[0].var, dec.aux_defs[1].var
-        assert kinds[2] == ("mul", (u1, u2))
-        u3 = dec.aux_defs[2].var
-        assert kinds[3] == ("mul", (2, u3))
+        # u1 = x^5, u2 = y^3, u3 = u1*u2, u4 = z*u3, numbered 3 to 6
+        assert definitions(dec) == [PowerAtom(3, 0, 5), PowerAtom(4, 1, 3),
+                                    MultAtom(3, 4, 5), MultAtom(2, 5, 6)]
 
     def test_squaring_variant(self):
         dec = decompose(self.csp_for("x^5*y^3*z"), "fs")
-        defs = dec.aux_defs
-        # squares first: x^2, x^4 = (x^2)^2, y^2; then the product x^4*y^2
-        assert (defs[0].kind, defs[0].args) == ("pow", (0, 2))
-        x2 = defs[0].var
-        assert (defs[1].kind, defs[1].args) == ("pow", (x2, 2))
-        assert (defs[2].kind, defs[2].args) == ("pow", (1, 2))
-        x4, y2 = defs[1].var, defs[2].var
-        assert (defs[3].kind, defs[3].args) == ("mul", (x4, y2))
+        # squares first: x^2 (3), x^4 = (x^2)^2 (4), y^2 (5); then the
+        # product x^4*y^2 (6)
+        assert definitions(dec)[:4] == [PowerAtom(3, 0, 2), PowerAtom(4, 3, 2),
+                                        PowerAtom(5, 1, 2), MultAtom(4, 5, 6)]
 
     def test_multiplication_variant_squares_by_self_mult(self):
         dec = decompose(self.csp_for("x^3"), "fm")
-        defs = dec.aux_defs
-        assert (defs[0].kind, defs[0].args) == ("mul", (0, 0))
-        x2 = defs[0].var
-        assert (defs[1].kind, defs[1].args) == ("mul", (0, x2))
+        # x^2 (3), then x * x^2
+        assert definitions(dec) == [MultAtom(0, 0, 3), MultAtom(0, 3, 4)]
         # self-multiplication contributes two rules, not three
         assert len(dec.rules) == 2 + 3 + 1
 
@@ -148,20 +160,14 @@ class TestFullHeuristics:
     def test_product_of_distinct_vars_nests_from_the_right(self):
         csp = build_benchmark("sumprod", 5)
         dec = decompose(csp, "fm")
-        first = dec.aux_defs[0]
-        assert names_of(dec, first.args) == ["x4", "x5"]
-        second = dec.aux_defs[1]
-        assert names_of(dec, second.args)[0] == "x3"
+        first, second = definitions(dec)[:2]
+        assert names_of(dec, (first.x, first.y)) == ["x4", "x5"]
+        assert names_of(dec, (second.x, second.y))[0] == "x3"
 
     def test_decomposition_cost_is_capped(self, monkeypatch):
         # a product of k distinct variables tests (k - 1) * (2k - 1) pairs
         # of sub-terms: 99,681 at 224 factors, past the cap of 10**5 at 225
-        def product(k):
-            return parse("".join("var x%d in [1..2]; " % i for i in range(k))
-                         + "constraint %s = 2;"
-                         % "*".join("x%d" % i for i in range(k)))
-
-        assert len(decompose(product(224), "fe").aux_defs) == 223
+        assert len(definitions(decompose(product(224), "fe"))) == 223
         with pytest.raises(ValueError, match="more than 100000 pairs"):
             decompose(product(225), "fe")
         # 741 pairs at 20 factors
@@ -187,14 +193,23 @@ class TestFullHeuristics:
         for variant in ("fe", "fs"):
             dec = decompose(csp, variant)
             assert dec.names == ["x", "y", "_u1", "_u4"]
-            assert dec.aux_defs == [AuxDef(2, "mul", args=(0, 1)),
-                                    AuxDef(3, "pow", args=(2, 2))]
+            assert dec.constraints[:2] == [MultAtom(0, 1, 2),
+                                           PowerAtom(3, 2, 2)]
             assert dec.domains == [(1, 5), (1, 5), (1, 25), (1, 625)]
             assert [c.monomials for c in user_constraints(dec)] == [
                 ((1, ((2, 1),)),), ((-1, ((3, 1),)),)]
-            assert dec.branch_order == [0, 1, 2, 3]
             sols, _ = solve_all(csp, variant)
             assert sorted(sols) == sorted(want), variant
+
+
+    def test_an_auxiliary_name_steps_around_a_user_name(self):
+        # the first auxiliary would be _u1, which a user variable holds
+        csp = parse("var _u1 in [1..3]; var x in [1..3];"
+                    " constraint _u1*x = 6;")
+        dec = decompose(csp, "fm")
+        assert dec.names == ["_u1", "x", "_u1_"]
+        assert definitions(dec) == [MultAtom(0, 1, 2)]
+        assert solve_all(csp, "fm")[0] == [(2, 3), (3, 2)]
 
 
 class TestAuxDomains:
@@ -221,6 +236,7 @@ class TestAuxDomains:
                   constraints=[normalize(Add(Mul(x, y), Mul(Mul(x, x), y)),
                                          "<=", Lit(9)),
                                normalize(Mul(x, y), "!=", Lit(2))])
+        csp.objective = x
         for variant in VARIANTS:
             dec = decompose(csp, variant)
             assert dec.infeasible, variant
@@ -229,7 +245,7 @@ class TestAuxDomains:
             assert sols == [] and stats.complete and stats.nodes == 0, \
                 variant
             with pytest.raises(Infeasible):
-                maximize(csp, objective=x, variant=variant)
+                maximize(csp, variant=variant)
 
 
 class TestSchedule:
@@ -253,19 +269,21 @@ class TestSchedule:
             constraint x^4 - y = 0;
         """)
         dec = decompose(csp, "fs")
-        # defs: x2 = x^2, x4 = (x2)^2; user rules relate x4 and y
-        assert [d.kind for d in dec.aux_defs] == ["pow", "pow"]
+        # defs: x2 = x^2, x4 = (x2)^2, two rules each; user rules relate x4
+        # and y
+        assert definitions(dec) == [PowerAtom(2, 0, 2), PowerAtom(3, 2, 2)]
         fwd_x2, fwd_x4 = 0, 2
+        user_rules = range(4, len(dec.rules))
         frag = dec.schedule
         # the user rule writing y reads the chain: forward phase runs
         # bottom-up before it
-        writes_y = [i for i in dec.user_rule_indices
+        writes_y = [i for i in user_rules
                     if dec.rules[i].writes == 1][0]
         assert (frag.index(fwd_x2) < frag.index(fwd_x4)
                 < frag.index(writes_y))
         # the user rule writing the chain top is followed by the backward
         # rules top-down
-        writes_top = [i for i in dec.user_rule_indices
+        writes_top = [i for i in user_rules
                       if dec.rules[i].writes != 1][0]
         pos = frag.index(writes_top)
         bwd_x4, bwd_x2 = 3, 1

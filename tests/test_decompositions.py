@@ -2,20 +2,20 @@
 
 Every cell is one problem of the counter tripwire decomposed with one
 variant and division.  Its digest covers those two, the variable names and
-domains, every field of each auxiliary definition, each rule's class,
-``variant``, ``writes`` and ``reads``, the schedule, the readers index, the
-branching order, the user rule indices and the infeasible flag; the cell
-also keeps the number of rules and of auxiliaries, so that a change shows
-its size.
+domains, each constraint by kind and fields (the auxiliary definitions
+come first, so they are covered too), each rule's class, ``variant``,
+``writes`` and ``reads``, the schedule, the readers index and the
+infeasible flag; the cell also keeps the number of rules and of
+auxiliaries, so that a change shows its size.
 Only public attributes are read, so rules may change their internals.
 All of it must equal ``decompositions_baseline.json`` exactly.
 
-A change whose purpose is to alter a decomposition re-records it::
+A change whose purpose is to alter a decomposition re-records it, and the
+recording prints each cell whose digest changed::
 
     PYTHONPATH=src python tests/test_decompositions.py --record
 """
 
-import dataclasses
 import hashlib
 import json
 import pathlib
@@ -24,10 +24,22 @@ import sys
 import pytest
 
 from intprop.decompose import VARIANTS, decompose
+from intprop.model import MultAtom, PolynomialConstraint, PowerAtom
 
 from test_counters import PROBLEMS
 
 BASELINE = pathlib.Path(__file__).with_name("decompositions_baseline.json")
+
+
+def constraint_fields(c):
+    """One constraint as its kind and fields."""
+    if isinstance(c, MultAtom):
+        return ["mul", c.x, c.y, c.z]
+    if isinstance(c, PowerAtom):
+        return ["pow", c.x, c.y, c.n]
+    if isinstance(c, PolynomialConstraint):
+        return ["poly", c.monomials, c.op, c.rhs]
+    raise TypeError("no description of %r" % (c,))
 
 
 def describe(dec):
@@ -37,14 +49,11 @@ def describe(dec):
         "division": dec.division,
         "names": dec.names,
         "domains": dec.domains,
-        "aux_defs": [[getattr(d, f.name) for f in dataclasses.fields(d)]
-                     for d in dec.aux_defs],
+        "constraints": [constraint_fields(c) for c in dec.constraints],
         "rules": [[type(r).__name__, r.variant, r.writes, list(r.reads)]
                   for r in dec.rules],
         "schedule": list(dec.schedule),
         "readers": [list(rs) for rs in dec.readers],
-        "branch_order": list(dec.branch_order),
-        "user_rule_indices": list(dec.user_rule_indices),
         "infeasible": dec.infeasible,
     }
 
@@ -60,7 +69,7 @@ def run_problem(name):
             cells["/".join((name, variant, division))] = {
                 "digest": hashlib.sha256(text.encode()).hexdigest(),
                 "rules": len(dec.rules),
-                "aux": len(dec.aux_defs),
+                "aux": len(dec.names) - dec.n_user,
             }
     return cells
 
@@ -83,9 +92,20 @@ def test_decompositions_match_baseline(name, baseline):
 
 
 def _record():
+    try:
+        with open(BASELINE, encoding="utf-8") as fh:
+            old = json.load(fh)
+    except FileNotFoundError:
+        old = {}
     cells = {}
     for name in sorted(PROBLEMS):
         cells.update(run_problem(name))
+    changed = [key for key in sorted(set(old) | set(cells))
+               if old.get(key) != cells.get(key)]
+    for key in changed:
+        print("%s: %s -> %s" % (key, json.dumps(old.get(key), sort_keys=True),
+                                json.dumps(cells.get(key), sort_keys=True)))
+    print("%d of %d cells changed" % (len(changed), len(cells)))
     # one cell a line, so that a re-recording diffs cell by cell
     with open(BASELINE, "w", encoding="utf-8") as fh:
         fh.write("{\n%s\n}\n" % ",\n".join(

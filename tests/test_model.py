@@ -88,6 +88,12 @@ class TestNormalize:
         c = normalize(Lit(0), "=", Lit(1))
         assert isinstance(c, TrivialConstraint) and not c.satisfied
 
+    def test_invalid_input_is_refused(self):
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            Pow(Var(0), 0)
+        with pytest.raises(ValueError, match="unknown comparison"):
+            normalize(Var(0), "=<", Lit(1))
+
     def test_strict_inequality_shift(self):
         c = normalize(Add(Mul(Lit(2), Var(0)), Lit(3)), "<", Lit(10))
         assert c.op == "le" and c.rhs == 6

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from intprop.rules import (
     build_rules,
     eval_monomial,
 )
+from intprop.search import solve_all
 
 
 def constraint_of(text, domains):
@@ -362,6 +364,12 @@ class TestDiseq:
     def test_trivially_true_disequalities_get_no_rule(self):
         c = normalize(Mul(Lit(2), Var(0)), "!=", Lit(7))
         assert build_rules([c]) == []
+        # two variables: 2*x - 2*y is even, so it is never 3
+        csp = parse("var x in [1..3]; var y in [1..3];"
+                    " constraint 2*x - 2*y != 3;")
+        assert build_rules(csp.constraints) == []
+        sols, _ = solve_all(csp, "du")
+        assert sols == list(itertools.product(range(1, 4), repeat=2))
 
     def test_general_disequality_checks_fixed_points_only(self):
         c = normalize(Add(Mul(Var(0), Var(1)), Var(0)), "!=", Lit(6))

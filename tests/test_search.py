@@ -11,6 +11,7 @@ import time
 import pytest
 
 import intprop
+from intprop import search
 from intprop.bench import build_benchmark, opt, sumprod
 from intprop.decompose import VARIANTS, decompose
 from intprop.model import CSP, Add, Lit, Mul, Var, normalize, parse
@@ -287,7 +288,8 @@ class TestLongLinearSums:
 class TestMaximize:
     def test_unconstrained(self):
         csp = parse("var x in [1..10];")
-        best, val, stats = maximize(csp, Var(0), variant="du")
+        csp.objective = Var(0)
+        best, val, stats = maximize(csp, variant="du")
         assert best == (10,) and val == 10
 
     def test_running_example(self):
@@ -453,6 +455,20 @@ class TestChecksUnderOptimize:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
         assert "spurious solution" in proc.stderr
+
+
+class TestArgumentsAreCheckedFirst:
+    def test_an_unknown_mode_is_refused_before_decomposing(self, monkeypatch):
+        # a decomposition may take seconds, so a misspelt mode is
+        # reported before it
+        def refuse(*args):
+            raise AssertionError("decomposed before checking the mode")
+
+        monkeypatch.setattr(search, "decompose", refuse)
+        with pytest.raises(ValueError, match="mode must be"):
+            solve_all(sumprod(4), "fe", mode="generated")
+        with pytest.raises(ValueError, match="mode must be"):
+            maximize(opt(20), mode="generated")
 
 
 class TestVerify:
